@@ -12,14 +12,13 @@ from .errors import (ConsistencyError, InexactDivisionError, ParityError,
 from .numtheory import (OddPartDecomposition, PrimePair, cunningham_pairs,
                         divisors, euler_phi, is_prime, nearly_doubled_primes,
                         odd_part_decomposition)
-from .algebra import (GAUSSIAN_UNIT, CycleIndex, SquareValue, SubstitutionRule,
-                      SymPoly, UniPoly, Value, cycle_index, eval_poly,
-                      substitute, sym_arith, to_sym)
+from .algebra import (GAUSSIAN_UNIT, CycleIndex, SymPoly, UniPoly, cycle_index,
+                      eval_poly, substitute, to_sym)
 from .counting import (CLASSES, CountResult, alternating_sum, count_by_formula,
                        even_odd_split, formal_undirected,
                        formal_undirected_count, log_concavity_probe, mixed_sd,
-                       non_ci_counts, prime_enumerator,
-                       prime_squared_enumerator, twice_prime_enumerator)
+                       prime_enumerator, prime_squared_enumerator,
+                       twice_prime_enumerator)
 from .identities import (IDENTITY_KEYS, IdentityReport, applicable, check,
                          check_lemma, verify_range)
 from .oracle import (ConnectionSet, canonical_form, cayley_classes,

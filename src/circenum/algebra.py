@@ -14,9 +14,12 @@ exactly by n.  This module supplies the three representations involved:
                 families x_1, x_2, ... and y_1, y_2, ..., used to state and
                 verify identities between cycle indices symbolically.
 
-Substitutions may target x_r directly (Value) or its square (SquareValue,
-meaning a value is prescribed for x_r^2); the latter is legal only where the
-exponent on x_r is even, which is asserted rather than assumed.
+Every value the formulas substitute is a binomial 1 + c*z^(k*r) (a constant
+when k = 0), prescribed either for x_r itself or for x_r^2; the latter is
+legal only where the exponent on x_r is even, which is asserted rather than
+assumed.  A substitution is therefore plain data, a pair of (coeff, stride,
+square) triples for even and odd r, and each term x_r^e expands directly as
+one binomial row.
 """
 
 from __future__ import annotations
@@ -222,69 +225,39 @@ def cycle_index(n: int) -> CycleIndex:
     return CycleIndex(order=n, terms=terms)
 
 
-@dataclass(frozen=True)
-class Value:
-    """Assign poly to x_r."""
-
-    poly: UniPoly
-
-
-@dataclass(frozen=True)
-class SquareValue:
-    """Assign poly to x_r^2 (usable only where x_r carries an even exponent)."""
-
-    poly: UniPoly
+# x_r -> 1 + coeff * z^(stride * r), or x_r^2 -> that value when square is set.
+Binomial = tuple[int, int, bool]
+# The binomial for even r, then the one for odd r.
+Substitution = tuple[Binomial, Binomial]
 
 
-Assignment = Union[Value, SquareValue]
-Selector = Union[str, tuple[int, ...]]  # "all" | "even" | "odd" | explicit indices
+def binomial_power(coeff: int, stride: int, e: int) -> UniPoly:
+    """(1 + coeff * z^stride)^e as the row C(e, j) * coeff^j at z^(stride * j).
 
-
-class SubstitutionRule:
-    """Per-divisor assignment of polynomial values to x_r or x_r^2.
-
-    Built from (selector, factory) clauses; the first matching clause wins.
-    Selectors are "all", "even", "odd" or an explicit tuple of indices, and a
-    factory maps the index r to a Value or SquareValue.
+    Stride 0 gives the constant (1 + coeff)^e.
     """
-
-    def __init__(self, clauses: list[tuple[Selector, Callable[[int], Assignment]]]):
-        self._clauses = list(clauses)
-
-    @classmethod
-    def uniform(cls, factory: Callable[[int], Assignment]) -> "SubstitutionRule":
-        return cls([("all", factory)])
-
-    @classmethod
-    def by_parity(cls, even: Callable[[int], Assignment],
-                  odd: Callable[[int], Assignment]) -> "SubstitutionRule":
-        return cls([("even", even), ("odd", odd)])
-
-    def assignment(self, r: int) -> Assignment:
-        for selector, factory in self._clauses:
-            if selector == "all":
-                return factory(r)
-            if selector == "even" and r % 2 == 0:
-                return factory(r)
-            if selector == "odd" and r % 2 == 1:
-                return factory(r)
-            if isinstance(selector, tuple) and r in selector:
-                return factory(r)
-        raise ValueError(f"substitution rule does not cover index {r}")
+    if stride == 0:
+        return UniPoly.constant((1 + coeff) ** e)
+    out = [0] * (stride * e + 1)
+    term = 1
+    for j in range(e + 1):
+        out[stride * j] = term
+        term = term * (e - j) * coeff // (j + 1)
+    return UniPoly(out)
 
 
-def _term_value(assignment: Assignment, exponent: int, where: str) -> UniPoly:
-    """Resolve one cycle-index term x_r^exponent under an assignment."""
-    if isinstance(assignment, SquareValue):
-        if exponent % 2:
-            raise ParityError(
-                f"square-value substitution at {where} needs an even exponent, "
-                f"got {exponent}")
-        return assignment.poly ** (exponent // 2)
-    return assignment.poly ** exponent
+def _half_if_square(square: bool, exponent: int, where: str) -> int:
+    """The power of the assigned value: exponent, or half of it for x_r^2."""
+    if not square:
+        return exponent
+    if exponent % 2:
+        raise ParityError(
+            f"square-value substitution at {where} needs an even exponent, "
+            f"got {exponent}")
+    return exponent // 2
 
 
-def power_sum(ci: CycleIndex, rule: SubstitutionRule,
+def power_sum(ci: CycleIndex, subst: Substitution,
               exponent_factor: int = 1) -> UniPoly:
     """The undivided sum  sum_{r | n} phi(r) * v_r^((n/r) * exponent_factor).
 
@@ -293,41 +266,42 @@ def power_sum(ci: CycleIndex, rule: SubstitutionRule,
     """
     total = UniPoly()
     for term in ci.terms:
-        a = rule.assignment(term.var_index)
-        e = term.exponent * exponent_factor
-        value = _term_value(a, e, f"x_{term.var_index} of I_{ci.order}")
-        total = total + value.scale(term.weight)
+        r = term.var_index
+        coeff, stride, square = subst[r % 2]
+        e = _half_if_square(square, term.exponent * exponent_factor,
+                            f"x_{r} of I_{ci.order}")
+        total = total + binomial_power(coeff, stride * r, e).scale(term.weight)
     return total
 
 
-def paired_power_sum(ci: CycleIndex, rule_x: SubstitutionRule,
-                     rule_y: SubstitutionRule) -> UniPoly:
+def paired_power_sum(ci: CycleIndex, subst_x: Substitution,
+                     subst_y: Substitution) -> UniPoly:
     """The undivided sum for the interleaved product x_r y_r:
 
         sum_{r | n} phi(r) * (v_r * w_r)^(n/r)
 
-    Square-valued assignments must pair up: sqrt(A)*sqrt(B) = sqrt(A*B), so a
-    SquareValue on both sides combines into one SquareValue on the product.
+    Square-valued assignments must pair up: sqrt(A)*sqrt(B) = sqrt(A*B), so
+    squares on both sides combine into one square on the product.  The y
+    factor goes on the left of each product, where UniPoly.__mul__ skips its
+    zeros: the y side of the order-p^2 formulas lives on a stride-p grid.
     """
     total = UniPoly()
     for term in ci.terms:
-        ax = rule_x.assignment(term.var_index)
-        ay = rule_y.assignment(term.var_index)
-        if isinstance(ax, SquareValue) != isinstance(ay, SquareValue):
-            raise ParityError(
-                f"mixed plain/square assignment for x_{term.var_index} y_{term.var_index}")
-        product = ax.poly * ay.poly
-        paired: Assignment = (SquareValue(product) if isinstance(ax, SquareValue)
-                              else Value(product))
-        value = _term_value(paired, term.exponent,
-                            f"x_{term.var_index}y_{term.var_index} of I_{ci.order}")
+        r = term.var_index
+        cx, kx, square = subst_x[r % 2]
+        cy, ky, square_y = subst_y[r % 2]
+        if square != square_y:
+            raise ParityError(f"mixed plain/square assignment for x_{r} y_{r}")
+        e = _half_if_square(square, term.exponent, f"x_{r}y_{r} of I_{ci.order}")
+        value = binomial_power(cy, ky * r, e) * binomial_power(cx, kx * r, e)
         total = total + value.scale(term.weight)
     return total
 
 
-def substitute(ci: CycleIndex, rule: SubstitutionRule) -> UniPoly:
-    """Apply the rule to the cycle index and divide exactly by the order."""
-    return power_sum(ci, rule).divide_exact(ci.order)
+def substitute(ci: CycleIndex, subst: Substitution,
+               exponent_factor: int = 1) -> UniPoly:
+    """Apply the substitution to the cycle index and divide exactly by the order."""
+    return power_sum(ci, subst, exponent_factor).divide_exact(ci.order)
 
 
 # ---------------------------------------------------------------------------
@@ -442,19 +416,6 @@ class SymPoly:
                              for (fam, idx), e in mono)
             bits.append(f"{c}*{vars_}" if vars_ else f"{c}")
         return "SymPoly(" + " + ".join(bits) + ")"
-
-
-def sym_arith(a: SymPoly, b, op: str) -> SymPoly:
-    """Named arithmetic entry point: add | sub | mul | scale."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "scale":
-        return a.scale(b)
-    raise ValueError(f"unknown op {op!r}")
 
 
 ExponentMode = Union[None, str, Callable[[int], Union[None, str]]]

@@ -241,6 +241,17 @@ def _add_format_option(subparser) -> None:
                            choices=("text", "csv", "json"), default=None)
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than low."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in its invalid-value message
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="circenum",
@@ -252,11 +263,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_count = sub.add_parser("count", help="count circulants of one order and class")
-    p_count.add_argument("--order", type=int, required=True)
+    p_count.add_argument("--order", type=_int_at_least(1), required=True)
     p_count.add_argument("--class", dest="klass", required=True)
     p_count.add_argument("--poly", action="store_true",
                          help="print the valency series")
-    p_count.add_argument("--valency", type=int, help="print one coefficient")
+    p_count.add_argument("--valency", type=_int_at_least(0),
+                         help="print one coefficient")
     p_count.add_argument("--oracle", action="store_true",
                          help="force brute-force enumeration")
     p_count.add_argument("--allow-slow", action="store_true")
@@ -265,8 +277,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_table = sub.add_parser("table", help="emit a catalog table")
     p_table.add_argument("which", type=int, choices=(1, 2))
-    p_table.add_argument("--max", type=int, default=14)
-    p_table.add_argument("--orders", type=lambda s: [int(x) for x in s.split(",")])
+    p_table.add_argument("--max", type=_int_at_least(2), default=14)
+    p_table.add_argument("--orders",
+                         type=lambda s: [_int_at_least(1)(x) for x in s.split(",")])
     p_table.add_argument("--class", dest="klass", default="u",
                          help="class for table 2 (d, u or o)")
     p_table.add_argument("--oracle", action="store_true",
@@ -295,16 +308,16 @@ def _build_parser() -> argparse.ArgumentParser:
     mode = p_primes.add_mutually_exclusive_group(required=True)
     mode.add_argument("--nearly-doubled", action="store_true")
     mode.add_argument("--chain", action="store_true")
-    p_primes.add_argument("--limit", type=int, default=1000)
+    p_primes.add_argument("--limit", type=_int_at_least(2), default=1000)
     p_primes.add_argument("--ptilde", type=int)
-    p_primes.add_argument("--kmax", type=int, default=100)
-    p_primes.add_argument("--mr-rounds", type=int, default=40)
+    p_primes.add_argument("--kmax", type=_int_at_least(0), default=100)
+    p_primes.add_argument("--mr-rounds", type=_int_at_least(0), default=40)
     _add_format_option(p_primes)
     p_primes.set_defaults(func=cmd_primes)
 
     p_log = sub.add_parser("logconcave",
                            help="probe the undirected counts for log-concavity")
-    p_log.add_argument("--order", type=int, required=True)
+    p_log.add_argument("--order", type=_int_at_least(1), required=True)
     p_log.add_argument("--oracle", action="store_true")
     p_log.add_argument("--allow-slow", action="store_true")
     _add_format_option(p_log)
@@ -317,7 +330,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.format_override is not None:
         args.format = args.format_override
-    return args.func(args)
+    try:
+        return args.func(args)
+    except UnsupportedOrderError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_UNSUPPORTED
+    except ValueError as exc:  # a library call rejected an argument
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def main_exit() -> None:

@@ -25,10 +25,9 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .errors import ConsistencyError, UnsupportedOrderError
-from .algebra import (GAUSSIAN_UNIT, SquareValue, SubstitutionRule, UniPoly,
-                      Value, cycle_index, eval_poly, paired_power_sum,
-                      power_sum, substitute)
-from .numtheory import is_prime
+from .algebra import (GAUSSIAN_UNIT, Substitution, UniPoly, cycle_index,
+                      eval_poly, paired_power_sum, power_sum, substitute)
+from .numtheory import has_prime_divisor_3_mod_4, is_prime
 
 CLASSES = ("d", "u", "o", "sd", "su", "t")
 VALENCY_CLASSES = ("d", "u", "o")
@@ -71,100 +70,60 @@ def _require_class(klass: str, allowed=CLASSES) -> None:
                                     f"(expected one of {allowed})")
 
 
-def _one_plus(power: int, coeff: int = 1) -> UniPoly:
-    return UniPoly.one_plus(power, coeff)
+# Substitution per class, as (even r, odd r) binomials (coeff, stride, square):
+# x_r -> 1 + coeff * z^(stride * r), or x_r^2 -> that value when square is set.
+# The order-p^2 formulas reuse them with every stride multiplied by p on the
+# y side.
+_SUBST: dict[str, Substitution] = {
+    "d": ((1, 1, False), (1, 1, False)),
+    "u": ((1, 2, False), (1, 2, False)),
+    "o": ((0, 0, False), (2, 1, True)),      # even: 1; odd: x_r^2 -> 1 + 2z^r
+    "sd": ((1, 0, False), (-1, 0, False)),   # even: 2; odd: 0
+    "su": ((1, 0, False), (-1, 0, False)),
+    "t": ((-1, 0, False), (1, 0, True)),     # even: 0; odd: x_r^2 -> 2
+}
 
 
-# Substitution recipes per class.  `scale` stretches the z-grid: the order-p^2
-# formulas reuse the same shapes with z^r replaced by z^(p*r) on the y side.
-
-def _rule_directed(scale: int = 1) -> SubstitutionRule:
-    return SubstitutionRule.uniform(lambda r: Value(_one_plus(scale * r)))
+def _cycle_order(p: int, klass: str) -> int:
+    """The order m of the cycle index I_m the class substitutes into."""
+    return (p - 1) // 2 if klass in ("u", "su") else p - 1
 
 
-def _rule_undirected(scale: int = 1) -> SubstitutionRule:
-    return SubstitutionRule.uniform(lambda r: Value(_one_plus(2 * scale * r)))
-
-
-def _rule_oriented(scale: int = 1) -> SubstitutionRule:
-    return SubstitutionRule.by_parity(
-        even=lambda r: Value(UniPoly.constant(1)),
-        odd=lambda r: SquareValue(_one_plus(scale * r, 2)))
-
-
-def _rule_self_complementary() -> SubstitutionRule:
-    return SubstitutionRule.by_parity(
-        even=lambda r: Value(UniPoly.constant(2)),
-        odd=lambda r: Value(UniPoly.zero()))
-
-
-def _rule_tournament() -> SubstitutionRule:
-    return SubstitutionRule.by_parity(
-        even=lambda r: Value(UniPoly.zero()),
-        odd=lambda r: SquareValue(UniPoly.constant(2)))
+def _result(order: int, klass: str, poly: UniPoly) -> CountResult:
+    if klass in VALENCY_CLASSES:
+        return CountResult(order, klass, poly(1), poly)
+    return CountResult(order, klass, poly(0))
 
 
 def prime_enumerator(p: int, klass: str) -> CountResult:
     """Count circulants of odd prime order p in the given class."""
     _require_odd_prime(p)
     _require_class(klass)
-    if klass == "d":
-        poly = substitute(cycle_index(p - 1), _rule_directed())
-    elif klass == "u":
-        poly = substitute(cycle_index((p - 1) // 2), _rule_undirected())
-    elif klass == "o":
-        poly = substitute(cycle_index(p - 1), _rule_oriented())
-    elif klass == "sd":
-        return CountResult(p, klass,
-                           substitute(cycle_index(p - 1), _rule_self_complementary())(0))
-    elif klass == "su":
-        return CountResult(p, klass,
-                           substitute(cycle_index((p - 1) // 2),
-                                      _rule_self_complementary())(0))
-    else:  # t
-        return CountResult(p, klass,
-                           substitute(cycle_index(p - 1), _rule_tournament())(0))
-    return CountResult(p, klass, poly(1), poly)
+    return _result(p, klass, substitute(cycle_index(_cycle_order(p, klass)),
+                                        _SUBST[klass]))
 
 
 def twice_prime_enumerator(p: int, klass: str) -> CountResult:
     """Count circulants of order 2p (p an odd prime); classes d, u, o only."""
     _require_odd_prime(p)
     _require_class(klass, VALENCY_CLASSES)
-    one_plus_z = _one_plus(1)
-    if klass == "d":
-        base = substitute(cycle_index(p - 1),
-                          SubstitutionRule.uniform(lambda r: Value(_one_plus(r) ** 2)))
-        poly = base * one_plus_z
-    elif klass == "u":
-        base = substitute(cycle_index((p - 1) // 2),
-                          SubstitutionRule.uniform(lambda r: Value(_one_plus(2 * r) ** 2)))
-        poly = base * one_plus_z
-    else:  # o: the odd-r substitution is plain here, not square-valued
-        poly = substitute(cycle_index(p - 1), SubstitutionRule.by_parity(
-            even=lambda r: Value(UniPoly.constant(1)),
-            odd=lambda r: Value(_one_plus(r, 2))))
+    if klass == "o":  # the odd-r substitution is plain here, not square-valued
+        poly = substitute(cycle_index(p - 1), ((0, 0, False), (2, 1, False)))
+    else:  # x_r -> (1 + z^r)^2 (u: z^(2r)), then one factor 1 + z
+        poly = substitute(cycle_index(_cycle_order(p, klass)), _SUBST[klass],
+                          exponent_factor=2) * UniPoly.one_plus(1)
     return CountResult(2 * p, klass, poly(1), poly)
 
 
 def _prime_squared_poly(p: int, klass: str) -> UniPoly:
-    if klass in ("u", "su"):
-        m = (p - 1) // 2
-    else:
-        m = p - 1
-    rules = {
-        "d": (_rule_directed(1), _rule_directed(p)),
-        "u": (_rule_undirected(1), _rule_undirected(p)),
-        "o": (_rule_oriented(1), _rule_oriented(p)),
-        "sd": (_rule_self_complementary(), _rule_self_complementary()),
-        "su": (_rule_self_complementary(), _rule_self_complementary()),
-        "t": (_rule_tournament(), _rule_tournament()),
-    }
-    rule_x, rule_y = rules[klass]
+    m = _cycle_order(p, klass)
+    subst_x = _SUBST[klass]
+    subst_y = tuple((coeff, stride * p, square) for coeff, stride, square in subst_x)
     ci = cycle_index(m)
-    lifted = power_sum(ci, rule_x, exponent_factor=p + 1)
-    paired = paired_power_sum(ci, rule_x, rule_y)
-    split = power_sum(ci, rule_x) * power_sum(ci, rule_y)
+    lifted = power_sum(ci, subst_x, exponent_factor=p + 1)
+    paired = paired_power_sum(ci, subst_x, subst_y)
+    # y on the left: UniPoly.__mul__ skips the zeros of its left operand
+    split = power_sum(ci, subst_y) * power_sum(ci, subst_x)
     # (1/p)I_m(x^(p+1)) - (1/p)I_m(xy) + I_m(x)I_m(y) over the common
     # denominator p*m^2; only the combination is integral, not the parts.
     numerator = lifted.scale(m) - paired.scale(m) + split.scale(p)
@@ -175,10 +134,7 @@ def prime_squared_enumerator(p: int, klass: str) -> CountResult:
     """Count circulants of order p^2 (p an odd prime) in the given class."""
     _require_odd_prime(p)
     _require_class(klass)
-    poly = _prime_squared_poly(p, klass)
-    if klass in VALENCY_CLASSES:
-        return CountResult(p * p, klass, poly(1), poly)
-    return CountResult(p * p, klass, poly(0))
+    return _result(p * p, klass, _prime_squared_poly(p, klass))
 
 
 def formal_undirected(n: int) -> UniPoly:
@@ -190,7 +146,7 @@ def formal_undirected(n: int) -> UniPoly:
     """
     if n < 3 or n % 2 == 0:
         raise ValueError(f"formal_undirected requires odd n >= 3, got {n}")
-    return substitute(cycle_index((n - 1) // 2), _rule_undirected())
+    return substitute(cycle_index((n - 1) // 2), _SUBST["u"])
 
 
 def formal_undirected_count(n: int) -> CountResult:
@@ -250,18 +206,7 @@ def oriented_alternating_expected(n: int) -> int:
         return 0
     if n % 2 == 0:
         return 1
-    m = n
-    p = 3
-    while p * p <= m:
-        if m % p == 0:
-            if p % 4 == 3:
-                return 0
-            while m % p == 0:
-                m //= p
-        p += 2
-    if m > 1 and m % 4 == 3:
-        return 0
-    return 1
+    return 0 if has_prime_divisor_3_mod_4(n) else 1
 
 
 def even_odd_split(n: int, klass: str) -> tuple[int, int]:
@@ -303,15 +248,6 @@ def mixed_sd(p: int) -> int:
             f"mixed count disagreement at p={p}: "
             f"{by_subtraction} / {by_product} / {by_squares}")
     return by_subtraction
-
-
-def non_ci_counts(p: int) -> tuple[int, int, int]:
-    """Counts of non-CI classes of order p^2 for (sd, su, t): squares of the
-    order-p totals."""
-    _require_odd_prime(p)
-    return (prime_enumerator(p, "sd").total ** 2,
-            prime_enumerator(p, "su").total ** 2,
-            prime_enumerator(p, "t").total ** 2)
 
 
 def log_concavity_probe(order: int,

@@ -23,7 +23,8 @@ from .counting import (count_by_formula, even_odd_split, formal_undirected,
                        formula_kind, oriented_alternating_expected,
                        prime_enumerator, prime_squared_enumerator,
                        twice_prime_enumerator)
-from .numtheory import is_prime, odd_part_decomposition
+from .numtheory import (has_prime_divisor_3_mod_4, is_prime,
+                        odd_part_decomposition)
 from . import oracle
 
 
@@ -64,19 +65,6 @@ def _odd_prime_square(n: int):
 def _twice_odd_prime(n: int):
     kind = formula_kind(n)
     return kind[1] if kind and kind[0] == "twice_prime" else None
-
-
-def _has_divisor_3_mod_4(n: int) -> bool:
-    m = n
-    p = 3
-    while p * p <= m:
-        if m % p == 0:
-            if p % 4 == 3:
-                return True
-            while m % p == 0:
-                m //= p
-        p += 2
-    return m > 1 and m % 4 == 3
 
 
 def _d_poly(n: int) -> UniPoly:
@@ -386,20 +374,12 @@ def _check_6_7(p):
 
 # --- applicability / evaluability table -------------------------------------
 
-def _app_prime_and_half(n):
-    return _half_successor_prime(n)
-
-
-def _app_nearly_doubled(n):
-    return _nearly_doubled_odd(n)
-
-
 def _app_3_3(n):
     return n > 3 and _nearly_doubled_odd(n)
 
 
 def _app_3_4(n):
-    return n >= 3 and n % 2 == 1 and _has_divisor_3_mod_4(n)
+    return n >= 3 and n % 2 == 1 and has_prime_divisor_3_mod_4(n)
 
 
 def _eval_3_4(n, allow_oracle):
@@ -456,9 +436,9 @@ class _Identity:
 
 
 _REGISTRY = [
-    _Identity("3.1", "c_u(p,z) = c_d((p+1)/2, z^2)", _app_prime_and_half, _check_3_1),
-    _Identity("3.1'", "C_u(p) = C_d((p+1)/2)", _app_prime_and_half, _check_3_1p),
-    _Identity("3.2", "C_su(p) = C_sd((p+1)/2)", _app_prime_and_half, _check_3_2),
+    _Identity("3.1", "c_u(p,z) = c_d((p+1)/2, z^2)", _half_successor_prime, _check_3_1),
+    _Identity("3.1'", "C_u(p) = C_d((p+1)/2)", _half_successor_prime, _check_3_1p),
+    _Identity("3.2", "C_su(p) = C_sd((p+1)/2)", _half_successor_prime, _check_3_2),
     _Identity("3.3", "2 c_o(p,z) = c_o(p+1,z) + 1", _app_3_3, _check_3_3),
     _Identity("3.3'", "2 C_o(p) = C_o(p+1) + 1", _app_3_3, _check_3_3p),
     _Identity("3.4", "C_su(n) = 0 when some prime divisor is 3 mod 4",
@@ -475,22 +455,22 @@ _REGISTRY = [
     _Identity("4.1''", "C_u(p) = C_sd(p) + C_t(p) = C_su(p) + 2 C_t(p)",
               _odd_prime, _check_4_1pp),
     _Identity("4.2", "4 C_u(p) = C_u(p+1) + 2 Cbar_u(2pt+1)",
-              _app_nearly_doubled, _check_4_2),
+              _nearly_doubled_odd, _check_4_2),
     _Identity("4.3", "2 c_u(p,z) = c_u(p+1,z)/(1+z) + cbar_u(2pt+1, z^(2^k))",
-              _app_nearly_doubled, _check_4_3),
+              _nearly_doubled_odd, _check_4_3),
     _Identity("4.3'", "2 C_u(p,4r+2) = C_u(p+1,4r+2)",
-              _app_nearly_doubled, _check_4_3p),
+              _nearly_doubled_odd, _check_4_3p),
     _Identity("4.4", "4 C_d(p) = C_d(p+1) + 2 Cbar_u(2pt+1)",
-              _app_nearly_doubled, _check_4_4),
+              _nearly_doubled_odd, _check_4_4),
     _Identity("4.5", "2 c_d(p,z) = c_d(p+1,z)/(1+z) + cbar_u(2pt+1, z^(2^k))",
-              _app_nearly_doubled, _check_4_5),
+              _nearly_doubled_odd, _check_4_5),
     _Identity("4.6", "4 C_d(p) - C_d(p+1) = 4 C_u(p) - C_u(p+1)",
-              _app_nearly_doubled, _check_4_6),
-    _Identity("4.6'", "4 C_dnu(p) = C_dnu(p+1)", _app_nearly_doubled, _check_4_6p),
+              _nearly_doubled_odd, _check_4_6),
+    _Identity("4.6'", "4 C_dnu(p) = C_dnu(p+1)", _nearly_doubled_odd, _check_4_6p),
     _Identity("4.7", "2 (1+z) c_dnu(p,z) = c_dnu(p+1,z)",
-              _app_nearly_doubled, _check_4_7),
+              _nearly_doubled_odd, _check_4_7),
     _Identity("4.7'", "2 (C_dnu(p,r) + C_dnu(p,r-1)) = C_dnu(p+1,r)",
-              _app_nearly_doubled, _check_4_7p),
+              _nearly_doubled_odd, _check_4_7p),
     _Identity("5.2", "D_i(p^2) = C_i(p)^2 for i in sd, su, t",
               _app_prime_square, _check_5_2, _eval_oracle_square),
     _Identity("5.3", "mixed_sd(p^2) = 2 C_su(p) C_t(p)", _app_prime_square, _check_5_3),

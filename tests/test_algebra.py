@@ -2,9 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from circenum.algebra import (GAUSSIAN_UNIT, SquareValue, SubstitutionRule,
-                              SymPoly, UniPoly, Value, cycle_index, eval_poly,
-                              substitute, sym_arith, to_sym)
+from circenum.algebra import (GAUSSIAN_UNIT, SymPoly, UniPoly, binomial_power,
+                              cycle_index, eval_poly, paired_power_sum,
+                              substitute, to_sym)
 from circenum.errors import InexactDivisionError, ParityError
 from circenum.numtheory import divisors, euler_phi
 
@@ -102,70 +102,62 @@ def mobius_necklaces(n: int) -> int:
     return total
 
 
+def constant(a):
+    """The substitution x_r -> a for every r."""
+    return ((a - 1, 0, False), (a - 1, 0, False))
+
+
+@pytest.mark.parametrize("coeff", [-1, 0, 1, 2, 3])
+@pytest.mark.parametrize("stride", [0, 1, 3])
+def test_binomial_power_matches_repeated_squaring(coeff, stride):
+    for e in range(41):
+        assert binomial_power(coeff, stride, e) == UniPoly.one_plus(stride, coeff) ** e
+
+
 def test_substitute_counts_binary_necklaces_bruteforce():
-    rule = SubstitutionRule.uniform(lambda r: Value(UniPoly.constant(2)))
     for n in range(1, 19):
-        got = substitute(cycle_index(n), rule)(0)
+        got = substitute(cycle_index(n), constant(2))(0)
         assert got == brute_necklaces(n), n
 
 
 def test_substitute_counts_binary_necklaces_mobius():
-    rule = SubstitutionRule.uniform(lambda r: Value(UniPoly.constant(2)))
     for n in range(1, 201):
-        got = substitute(cycle_index(n), rule)(0)
+        got = substitute(cycle_index(n), constant(2))(0)
         assert got == mobius_necklaces(n), n
 
 
 def test_substitute_known_values():
-    two = SubstitutionRule.uniform(lambda r: Value(UniPoly.constant(2)))
-    assert substitute(cycle_index(4), two)(0) == 6
-    ident = SubstitutionRule.uniform(lambda r: Value(UniPoly.one_plus(1)))
+    assert substitute(cycle_index(4), constant(2))(0) == 6
+    ident = ((1, 1, False), (1, 1, False))
     assert substitute(cycle_index(1), ident) == UniPoly([1, 1])
-    ones = SubstitutionRule.uniform(lambda r: Value(UniPoly.constant(1)))
     for m in range(1, 101):
-        assert substitute(cycle_index(m), ones) == UniPoly.constant(1)
+        assert substitute(cycle_index(m), constant(1)) == UniPoly.constant(1)
+
+
+def test_substitute_by_parity():
+    # I_6 with x_r -> 0 at odd r, 2 at even r: (phi(2) 2^3 + phi(6) 2^1) / 6 = 2
+    assert substitute(cycle_index(6), ((1, 0, False), (-1, 0, False)))(0) == 2
 
 
 def test_substitute_is_linear_in_constant_targets():
     ci = cycle_index(1)
     for a, b in [(3, 4), (0, 9), (2, 2)]:
-        separate = (substitute(ci, SubstitutionRule.uniform(
-            lambda r: Value(UniPoly.constant(a))))(0)
-            + substitute(ci, SubstitutionRule.uniform(
-                lambda r: Value(UniPoly.constant(b))))(0))
-        joint = substitute(ci, SubstitutionRule.uniform(
-            lambda r: Value(UniPoly.constant(a + b))))(0)
+        separate = substitute(ci, constant(a))(0) + substitute(ci, constant(b))(0)
+        joint = substitute(ci, constant(a + b))(0)
         assert joint == separate
 
 
 def test_square_value_needs_even_exponent():
-    rule = SubstitutionRule.uniform(lambda r: SquareValue(UniPoly.constant(2)))
+    square_two = ((1, 0, True), (1, 0, True))
     # I_4 has the term x_4^1: odd exponent under a square value
     with pytest.raises(ParityError):
-        substitute(cycle_index(4), rule)
-
-
-def test_rule_coverage_error():
-    rule = SubstitutionRule([("even", lambda r: Value(UniPoly.constant(1)))])
-    with pytest.raises(ValueError):
-        substitute(cycle_index(3), rule)
-
-
-def test_rule_explicit_index_selector():
-    rule = SubstitutionRule([
-        ((1, 3), lambda r: Value(UniPoly.constant(0))),
-        ("all", lambda r: Value(UniPoly.constant(2))),
-    ])
-    # I_6: terms at r = 1, 3 drop; (phi(2) 2^3 + phi(6) 2^1) / 6 = 2
-    assert substitute(cycle_index(6), rule)(0) == 2
+        substitute(cycle_index(4), square_two)
 
 
 def test_paired_power_sum_rejects_mixed_assignments():
-    from circenum.algebra import paired_power_sum
-    rule_plain = SubstitutionRule.uniform(lambda r: Value(UniPoly.constant(2)))
-    rule_square = SubstitutionRule.uniform(lambda r: SquareValue(UniPoly.constant(2)))
+    square_two = ((1, 0, True), (1, 0, True))
     with pytest.raises(ParityError):
-        paired_power_sum(cycle_index(2), rule_plain, rule_square)
+        paired_power_sum(cycle_index(2), constant(2), square_two)
 
 
 # --- eval_poly ---------------------------------------------------------------
@@ -204,15 +196,6 @@ def test_sympoly_identities():
 def test_sympoly_cancellation():
     assert (x(3) - x(3)).is_zero()
     assert not (x(3) - x(3, 2)).is_zero()
-
-
-def test_sym_arith_wrapper():
-    assert sym_arith(x(1), x(2), "add") == x(1) + x(2)
-    assert sym_arith(x(1), x(2), "sub") == x(1) - x(2)
-    assert sym_arith(x(1), y(2), "mul") == x(1) * y(2)
-    assert sym_arith(x(1), Fraction(1, 3), "scale") == x(1).scale(Fraction(1, 3))
-    with pytest.raises(ValueError):
-        sym_arith(x(1), x(2), "div")
 
 
 def test_sympoly_congruence_randomized():

@@ -149,6 +149,25 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    "table 2 --max 1",
+    "primes --nearly-doubled --limit 1",
+    "count --order -3 --class d",
+    "count --order 13 --class d --valency -1",
+    "primes --chain --ptilde 3 --kmax -5",
+    "table 1 --orders 0 --oracle",
+])
+def test_malformed_arguments_exit_two(capsys, argv):
+    try:
+        code = main(argv.split())
+    except SystemExit as exc:  # rejected by the parser
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "Traceback" not in captured.err
+    assert sum("error" in line for line in captured.err.splitlines()) == 1
+
+
 def test_json_round_trip(capsys):
     argv = ["--format", "json", "count", "--order", "13", "--class", "d"]
     code, out, _ = run(capsys, *argv)

@@ -1,13 +1,17 @@
+import hashlib
+import json
+
 import pytest
 
-from circenum.algebra import UniPoly
+from circenum import counting
+from circenum.algebra import CycleIndex, CycleIndexTerm, UniPoly, cycle_index
 from circenum.counting import (CLASSES, alternating_sum, count_by_formula,
                                even_odd_split, formal_undirected, formula_kind,
-                               log_concavity_probe, mixed_sd, non_ci_counts,
+                               log_concavity_probe, mixed_sd,
                                oriented_alternating_expected, prime_enumerator,
                                prime_squared_enumerator,
                                twice_prime_enumerator)
-from circenum.errors import UnsupportedOrderError
+from circenum.errors import InexactDivisionError, UnsupportedOrderError
 from circenum.numtheory import is_prime
 
 from golden import COLUMN_CLASSES, TABLE1, TABLE2_D, TABLE2_O, TABLE2_U
@@ -265,12 +269,6 @@ def test_mixed_sd_internal_consistency_to_100():
         assert mixed_sd(p) >= 0
 
 
-def test_non_ci_counts():
-    assert non_ci_counts(13) == (64, 4, 36)
-    assert non_ci_counts(3) == (1, 0, 1)
-    assert non_ci_counts(5) == (4, 1, 1)
-
-
 # --- log-concavity -------------------------------------------------------------------
 
 def test_log_concavity_prime_orders_clean():
@@ -288,3 +286,41 @@ def test_log_concavity_violations_at_prime_squares():
 def test_log_concavity_with_supplied_counts():
     poly = count_by_formula(37, "u").by_valency
     assert log_concavity_probe(37, poly) == []
+
+
+# --- the substitution kernel ----------------------------------------------------
+
+# SHA-256 over the records below as produced by the earlier selector-and-
+# repeated-squaring substitution path, which the binomial-row kernel replaced.
+OUTPUT_DIGEST = "234ee622097f07e5349b9ee65f5971a618003cf20dee037aaa7083d177517121"
+
+
+def test_output_digest_unchanged():
+    lines = []
+    for n in range(1, 401):
+        for klass in CLASSES:
+            try:
+                record = count_by_formula(n, klass).to_json()
+            except UnsupportedOrderError:
+                continue
+            lines.append(json.dumps(record, sort_keys=True))
+    for n in range(3, 402, 2):
+        lines.append(json.dumps(formal_undirected(n).to_json()))
+    assert len(lines) == 839
+    digest = hashlib.sha256("".join(line + "\n" for line in lines).encode())
+    assert digest.hexdigest() == OUTPUT_DIGEST
+
+
+def corrupted_cycle_index(n):
+    """I_n with the weight of x_1 off by one."""
+    first, *rest = cycle_index(n).terms
+    bumped = CycleIndexTerm(first.var_index, first.weight + 1, first.exponent)
+    return CycleIndex(n, (bumped, *rest))
+
+
+@pytest.mark.parametrize("enumerator", [prime_enumerator, prime_squared_enumerator])
+@pytest.mark.parametrize("klass", ["d", "u", "o"])
+def test_corrupted_weight_fails_exact_division(monkeypatch, enumerator, klass):
+    monkeypatch.setattr(counting, "cycle_index", corrupted_cycle_index)
+    with pytest.raises(InexactDivisionError):
+        enumerator(13, klass)

@@ -1,8 +1,9 @@
 import pytest
 
 from circenum.numtheory import (OddPartDecomposition, cunningham_pairs,
-                                divisors, euler_phi, is_prime,
-                                nearly_doubled_primes, odd_part_decomposition)
+                                divisors, euler_phi, has_prime_divisor_3_mod_4,
+                                is_prime, nearly_doubled_primes,
+                                odd_part_decomposition)
 
 
 def test_euler_phi_basics():
@@ -66,6 +67,13 @@ def test_odd_part_roundtrip():
         d = odd_part_decomposition(n)
         assert d.odd_part % 2 == 1
         assert d.odd_part << d.two_exponent == n
+
+
+def test_has_prime_divisor_3_mod_4_against_trial_division():
+    primes_3_mod_4 = [q for q in range(3, 2000, 4) if is_prime(q)]
+    for n in range(1, 2000):
+        want = any(n % q == 0 for q in primes_3_mod_4)
+        assert has_prime_divisor_3_mod_4(n) == want, n
 
 
 def test_nearly_doubled_primes_below_100():
