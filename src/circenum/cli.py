@@ -295,9 +295,9 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--all", action="store_true")
     group.add_argument("--identity", action="append",
                        help="identity key, repeatable")
-    p_verify.add_argument("--max", type=int, default=100,
+    p_verify.add_argument("--max", type=_int_at_least(0), default=100,
                           help="largest order to instantiate")
-    p_verify.add_argument("--lemma-max", type=int, default=64,
+    p_verify.add_argument("--lemma-max", type=_int_at_least(0), default=64,
                           help="largest parameter for the symbolic lemmas")
     p_verify.add_argument("--oracle", action="store_true",
                           help="add oracle-backed instantiations at desk scale")

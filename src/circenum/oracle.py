@@ -14,7 +14,13 @@ out/in neighbour counts per cell, branch on the smallest non-singleton cell,
 and take the lexicographically least adjacency encoding over all leaves.
 Automorphisms discovered at equal-encoding leaves (plus any known a priori,
 e.g. the rotation of a circulant) prune branches that cannot change the
-minimum.  Practical for graphs up to a few dozen vertices.
+minimum.  Each open search node keeps the known automorphisms that fix its
+individualized prefix pointwise (a child keeps those of its parent that also
+fix the new vertex; one found at a leaf goes to every open node whose prefix
+it fixes) and the orbits they generate on the node's target cell, as a
+union-find grown with that stabiliser.  A sibling in the orbit of an explored
+one repeats its subtree and is skipped.  Practical for graphs up to a few
+dozen vertices.
 """
 
 from __future__ import annotations
@@ -91,19 +97,12 @@ def _units(n: int) -> list[int]:
     return [m for m in range(1, n) if gcd(m, n) == 1]
 
 
-def _adjacency(n: int, members) -> tuple[list[int], list[int]]:
+def _adjacency(n: int, members) -> list[int]:
     out_adj = [0] * n
     for v in range(n):
         for s in members:
             out_adj[v] |= 1 << ((v + s) % n)
-    in_adj = [0] * n
-    for v in range(n):
-        row = out_adj[v]
-        while row:
-            low = row & -row
-            in_adj[low.bit_length() - 1] |= 1 << v
-            row ^= low
-    return out_adj, in_adj
+    return out_adj
 
 
 def _refine(n: int, out_adj, in_adj, cells):
@@ -156,7 +155,7 @@ def digraph_certificate(out_adj: list[int], known_automorphisms=()) -> int:
 
     best_enc: list[int | None] = [None]
     best_lab: list[list[int] | None] = [None]
-    autos: list[tuple[int, ...]] = [tuple(g) for g in known_automorphisms]
+    path: list[_StabiliserNode] = []    # open nodes, root first
 
     def encode(cells):
         lab = [0] * n
@@ -172,7 +171,7 @@ def digraph_certificate(out_adj: list[int], known_automorphisms=()) -> int:
                 row ^= low
         return enc, lab
 
-    def search(cells, fixed):
+    def search(cells, fixed, stab):
         target = None
         for i, cell in enumerate(cells):
             if len(cell) > 1 and (target is None or len(cell) < len(cells[target])):
@@ -183,43 +182,75 @@ def digraph_certificate(out_adj: list[int], known_automorphisms=()) -> int:
                 best_enc[0] = enc
                 best_lab[0] = lab
             elif enc == best_enc[0]:
-                # two labelings with one encoding compose to an automorphism
+                # two labelings with one encoding compose to an automorphism;
+                # the open node at depth d gets it iff it fixes fixed[:d]
                 inverse = [0] * n
                 for v in range(n):
                     inverse[best_lab[0][v]] = v
-                autos.append(tuple(inverse[lab[v]] for v in range(n)))
+                g = tuple(inverse[lab[v]] for v in range(n))
+                for depth, node in enumerate(path):
+                    if depth and g[fixed[depth - 1]] != fixed[depth - 1]:
+                        break
+                    node.add(g)
             return
         cell = cells[target]
+        node = _StabiliserNode(n, cell, stab)
+        path.append(node)
         explored: list[int] = []
         for v in sorted(cell):
-            if explored and _in_orbit(v, explored, fixed, autos):
+            if explored and node.in_orbit_of(v, explored):
                 continue
             rest = [w for w in cell if w != v]
             sub = cells[:target] + [[v], rest] + cells[target + 1:]
-            search(_refine(n, out_adj, in_adj, sub), fixed + (v,))
+            search(_refine(n, out_adj, in_adj, sub), fixed + (v,),
+                   [g for g in node.stab if g[v] == v])
             explored.append(v)
+        path.pop()
 
-    def _in_orbit(v, explored, fixed, autos):
-        # Is v reachable from an explored sibling under automorphisms that fix
-        # the individualized prefix pointwise?  Such a branch repeats a subtree.
-        qualifying = [g for g in autos if all(g[f] == f for f in fixed)]
-        if not qualifying:
-            return False
-        reach = set(explored)
-        frontier = list(explored)
-        while frontier:
-            u = frontier.pop()
-            for g in qualifying:
-                w = g[u]
-                if w == v:
-                    return True
-                if w not in reach:
-                    reach.add(w)
-                    frontier.append(w)
-        return False
-
-    search(_refine(n, out_adj, in_adj, [list(range(n))]), ())
+    search(_refine(n, out_adj, in_adj, [list(range(n))]), (),
+           [tuple(g) for g in known_automorphisms])
     return best_enc[0]
+
+
+class _StabiliserNode:
+    """An open search node: the known automorphisms that fix its
+    individualized prefix pointwise, and their orbits on its target cell.
+
+    Such automorphisms map the refined partition onto itself, so the orbits
+    of the group they generate never leave the cell; a union-find over the
+    cell's points holds them and grows with the stabiliser.
+    """
+
+    __slots__ = ("cell", "stab", "root")
+
+    def __init__(self, n: int, cell: list[int], stab: list[tuple[int, ...]]):
+        self.cell = cell
+        self.stab: list[tuple[int, ...]] = []
+        self.root = list(range(n))
+        for g in stab:
+            self.add(g)
+
+    def find(self, v: int) -> int:
+        root = self.root
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    def add(self, g: tuple[int, ...]) -> None:
+        self.stab.append(g)
+        for u in self.cell:
+            w = g[u]
+            if w != u:
+                a, b = self.find(u), self.find(w)
+                if a != b:
+                    self.root[max(a, b)] = min(a, b)
+
+    def in_orbit_of(self, v: int, explored: list[int]) -> bool:
+        """Does v share an orbit with an explored sibling?  Such a branch
+        repeats a subtree already searched."""
+        r = self.find(v)
+        return any(self.find(u) == r for u in explored)
 
 
 def canonical_form(cs: ConnectionSet) -> bytes:
@@ -230,7 +261,7 @@ def canonical_form(cs: ConnectionSet) -> bytes:
     independent of any theory about which circulants are multiplier related).
     """
     n = cs.order
-    out_adj, _ = _adjacency(n, cs.members)
+    out_adj = _adjacency(n, cs.members)
     autos = [tuple((v + 1) % n for v in range(n))]
     for m in _units(n):
         if m != 1 and {m * s % n for s in cs.members} == cs.members:
@@ -411,16 +442,16 @@ def cayley_classes(n: int, klass: str) -> int:
         cycles = _multiplier_cycles(n, m)
         if klass == "d":
             total += 1 << len(cycles)
-        elif klass == "u":
-            # m and negation together must fix the set
-            merged = _merge_with_negation(n, cycles)
-            total += 1 << len(merged)
-        else:
-            pairs, self_negating = _negation_pairing(n, cycles)
-            if klass == "o":
-                total += 3 ** pairs
-            else:  # t: pick exactly one of each negation pair
-                total += 0 if self_negating or n % 2 == 0 else 2 ** pairs
+            continue
+        pairs, self_negating = _negation_pairing(n, cycles)
+        if klass == "u":
+            # m and negation together must fix the set: a union of the
+            # negation-closed cycles and of the pairs {C, -C}
+            total += 1 << (pairs + self_negating)
+        elif klass == "o":
+            total += 3 ** pairs
+        else:  # t: pick exactly one of each negation pair
+            total += 0 if self_negating or n % 2 == 0 else 2 ** pairs
     return total // len(units)
 
 
@@ -440,43 +471,15 @@ def _multiplier_cycles(n: int, m: int) -> list[frozenset[int]]:
     return cycles
 
 
-def _merge_with_negation(n: int, cycles) -> list[frozenset[int]]:
-    by_member = {}
-    for i, cyc in enumerate(cycles):
-        for s in cyc:
-            by_member[s] = i
-    merged = []
-    done = set()
-    for i, cyc in enumerate(cycles):
-        if i in done:
-            continue
-        j = by_member[(n - next(iter(cyc))) % n]
-        done.add(i)
-        done.add(j)
-        merged.append(cyc if i == j else cyc | cycles[j])
-    return merged
+def _negation_pairing(n: int, cycles) -> tuple[int, int]:
+    """(number of {C, -C} pairs with C != -C, number of cycles with C = -C).
 
-
-def _negation_pairing(n: int, cycles) -> tuple[int, bool]:
-    """(number of {C, -C} pairs with C != -C, any self-negating cycle present)."""
-    by_member = {}
-    for i, cyc in enumerate(cycles):
-        for s in cyc:
-            by_member[s] = i
-    pairs = 0
-    self_negating = False
-    seen = set()
-    for i, cyc in enumerate(cycles):
-        if i in seen:
-            continue
-        j = by_member[(n - next(iter(cyc))) % n]
-        seen.add(i)
-        seen.add(j)
-        if i == j:
-            self_negating = True
-        else:
-            pairs += 1
-    return pairs, self_negating
+    Negation commutes with every multiplier, so it permutes the multiplier
+    cycles as an involution.
+    """
+    cycle_of = {s: i for i, cyc in enumerate(cycles) for s in cyc}
+    self_negating = sum(cycle_of[n - next(iter(cyc))] == i for i, cyc in enumerate(cycles))
+    return (len(cycles) - self_negating) // 2, self_negating
 
 
 def non_ci_count(n: int, klass: str) -> tuple[int, int]:

@@ -156,6 +156,8 @@ def test_usage_error_exit_code(capsys):
     "count --order 13 --class d --valency -1",
     "primes --chain --ptilde 3 --kmax -5",
     "table 1 --orders 0 --oracle",
+    "verify --all --max -5",
+    "verify --all --lemma-max -1",
 ])
 def test_malformed_arguments_exit_two(capsys, argv):
     try:

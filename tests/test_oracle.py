@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import permutations
 
@@ -10,7 +11,8 @@ from circenum.oracle import (ConnectionSet, canonical_form, cayley_classes,
                              digraph_certificate, enumerate_circulants,
                              non_ci_count)
 
-from golden import COLUMN_CLASSES, ORIENTED_CORRECTIONS, TABLE1
+from golden import (COLUMN_CLASSES, ORIENTED_CORRECTIONS,
+                    ORIENTED_MISPRINTS_AT_CI_ORDERS, TABLE1)
 
 
 # --- connection sets -----------------------------------------------------------
@@ -103,6 +105,20 @@ def test_certificate_separates_nonisomorphic():
     path = [0b0010, 0b0100, 0b1000, 0b0000]
     cycle = [0b0010, 0b0100, 0b1000, 0b0001]
     assert digraph_certificate(path) != digraph_certificate(cycle)
+
+
+def test_certificate_digest_unchanged():
+    """Differential pin of the canonical labeler: SHA-256 over every orbit
+    certificate of the directed surveys n = 1..12 and the undirected surveys
+    n = 13..20 (1,842 certificates), as computed by the labeler that pruned
+    by a breadth-first closure over the whole automorphism list."""
+    from circenum.oracle import _survey
+    surveys = ([_survey(n, False) for n in range(1, 13)]
+               + [_survey(n, True) for n in range(13, 21)])
+    certs = [cert for survey in surveys for cert in survey.cert_of_orbit]
+    assert len(certs) == 1842
+    assert hashlib.sha256(b"".join(certs)).hexdigest() == \
+        "64f43beb68866a21b912bf2884eabfec89bb493537dd0c2caebbdfb6956c003f"
 
 
 def _backtracking_isomorphic(n, a, b):
@@ -198,6 +214,28 @@ def test_oracle_matches_catalog_at_no_formula_orders(n):
 def test_printed_oriented_counts_at_8_12_15():
     for n in (8, 12, 15):
         assert enumerate_circulants(n, "o").total == TABLE1[n][2]
+
+
+def _is_ci_order(n):
+    """Muzychuk: every circulant digraph of order n is a CI-graph (its
+    isomorphism classes are its multiplier orbits) iff n = k, 2k or 4k with
+    k odd and squarefree."""
+    def odd_squarefree(k):
+        return k % 2 == 1 and all(k % (p * p) for p in range(3, k + 1, 2))
+    return any(n % m == 0 and odd_squarefree(n // m) for m in (1, 2, 4))
+
+
+def test_printed_oriented_counts_at_ci_orders():
+    # at a CI order the multiplier-orbit count is the isomorphism-class count,
+    # so every printed oriented cell that differs from it is a misprint
+    differing = set()
+    for n in sorted(TABLE1):
+        if n <= 40 and _is_ci_order(n):
+            orbits = cayley_classes(n, "o")
+            if orbits != TABLE1[n][2]:
+                differing.add(n)
+                assert orbits == ORIENTED_CORRECTIONS.get(n, orbits)
+    assert differing == {12, 15} | set(ORIENTED_MISPRINTS_AT_CI_ORDERS)
 
 
 def test_oriented_count_order_8_by_exhaustive_permutation_search():
