@@ -20,7 +20,7 @@ from .counting import (CLASSES, CountResult, alternating_sum, count_by_formula,
                        prime_enumerator, prime_squared_enumerator,
                        twice_prime_enumerator)
 from .identities import (IDENTITY_KEYS, IdentityReport, applicable, check,
-                         check_lemma, verify_range)
+                         verify_range)
 from .oracle import (ConnectionSet, canonical_form, cayley_classes,
                      classify_self_complementary, enumerate_circulants,
                      non_ci_count)

@@ -51,16 +51,8 @@ class UniPoly:
         raise AttributeError("UniPoly is immutable")
 
     @classmethod
-    def zero(cls) -> "UniPoly":
-        return cls()
-
-    @classmethod
     def constant(cls, c: int) -> "UniPoly":
         return cls((c,))
-
-    @classmethod
-    def monomial(cls, power: int, coeff: int = 1) -> "UniPoly":
-        return cls([0] * power + [coeff])
 
     @classmethod
     def one_plus(cls, power: int, coeff: int = 1) -> "UniPoly":

@@ -4,8 +4,9 @@ Subcommands: count, table, verify, primes, logconcave.  Exit codes follow a
 stable contract: 0 success / all identities hold, 1 identity or property
 violation, 2 usage error, 3 unsupported order or out-of-range oracle request.
 Every number is printed as a full decimal string together with its provenance
-(formula / formal / oracle); JSON output is line-delimited with sorted keys,
-so re-rendering parsed records reproduces the bytes exactly.
+(formula / oracle); JSON output is line-delimited with sorted keys, so
+re-rendering parsed records reproduces the bytes exactly.  The output format
+comes from --format, else from CIRCENUM_FORMAT, else text.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import os
 import sys
 
 from .errors import UnsupportedOrderError
-from .counting import (CLASSES, VALENCY_CLASSES, count_by_formula, formula_kind,
+from .counting import (CLASSES, VALENCY_CLASSES, count_by_formula, has_formula,
                        log_concavity_probe)
 from .identities import IDENTITIES, IDENTITY_KEYS, verify_range
 from .numtheory import cunningham_pairs, nearly_doubled_primes
@@ -27,6 +28,7 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_UNSUPPORTED = 3
 
+FORMATS = ("text", "csv", "json")
 TABLE1_COLUMNS = ("C_d", "C_u", "C_o", "C_sd", "C_su", "C_t")
 _CLASS_OF_COLUMN = dict(zip(TABLE1_COLUMNS, CLASSES))
 
@@ -76,9 +78,7 @@ def cmd_count(args) -> int:
 
 def _table1_cell(order: int, klass: str, use_oracle: bool):
     """(value, provenance) or None where nothing covers the cell."""
-    kind = formula_kind(order)
-    formula_ok = kind is not None and (kind[0] != "twice_prime" or klass in VALENCY_CLASSES)
-    if formula_ok:
+    if has_formula(order, klass):
         result = count_by_formula(order, klass)
         return result.total, result.provenance
     if use_oracle and order <= oracle.DESK_LIMIT:
@@ -170,7 +170,7 @@ def cmd_verify(args) -> int:
         for report in reports:
             by_key.setdefault(report.key, []).append(report)
         for key, group in by_key.items():
-            formula = IDENTITIES[key].description if key in IDENTITIES else "cycle-index lemma"
+            formula = IDENTITIES[key].description
             orders = " ".join(str(r.order) for r in group)
             n_fail = sum(r.status == "fails" for r in group)
             status = "fails" if n_fail else "holds"
@@ -238,7 +238,7 @@ def cmd_logconcave(args) -> int:
 def _add_format_option(subparser) -> None:
     # accepted after the subcommand too; overrides the top-level value
     subparser.add_argument("--format", dest="format_override",
-                           choices=("text", "csv", "json"), default=None)
+                           choices=FORMATS, default=None)
 
 
 def _int_at_least(low: int):
@@ -257,7 +257,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="circenum",
         description="Exact counts of circulant graphs, identity checks, and a "
                     "brute-force isomorphism oracle.")
-    parser.add_argument("--format", choices=("text", "csv", "json"),
+    parser.add_argument("--format", choices=FORMATS,
                         default=_default_format(),
                         help="output format (default from CIRCENUM_FORMAT)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -330,6 +330,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.format_override is not None:
         args.format = args.format_override
+    if args.format not in FORMATS:  # argparse does not check a default
+        parser.error(f"CIRCENUM_FORMAT: invalid choice: {args.format!r} "
+                     f"(choose from {', '.join(FORMATS)})")
     try:
         return args.func(args)
     except UnsupportedOrderError as exc:

@@ -170,19 +170,25 @@ def formula_kind(order: int) -> tuple[str, int] | None:
     return None
 
 
+def has_formula(order: int, klass: str) -> bool:
+    """Does a closed form cover this order and class?  Order-2p formulas
+    exist for d, u, o only."""
+    kind = formula_kind(order)
+    return kind is not None and (kind[0] != "twice_prime" or klass in VALENCY_CLASSES)
+
+
 def count_by_formula(order: int, klass: str) -> CountResult:
     """Dispatch to whichever closed form covers the order, else raise."""
     _require_class(klass)
     kind = formula_kind(order)
     if kind is None:
         raise UnsupportedOrderError(f"no counting formula for order {order}")
+    if not has_formula(order, klass):
+        raise UnsupportedOrderError(f"no order-2p formula for class {klass!r}")
     shape, p = kind
     if shape == "prime":
         return prime_enumerator(p, klass)
     if shape == "twice_prime":
-        if klass not in VALENCY_CLASSES:
-            raise UnsupportedOrderError(
-                f"no order-2p formula for class {klass!r}")
         return twice_prime_enumerator(p, klass)
     return prime_squared_enumerator(p, klass)
 
@@ -230,24 +236,14 @@ def even_odd_split(n: int, klass: str) -> tuple[int, int]:
 
 def mixed_sd(p: int) -> int:
     """Self-complementary directed circulants of order p^2 that are neither
-    undirected nor tournaments.
+    undirected nor tournaments: C_sd(p^2) - C_su(p^2) - C_t(p^2).
 
-    Computed as C_sd(p^2) - C_su(p^2) - C_t(p^2) and cross-checked against the
-    two equivalent forms 2*C_su(p)*C_t(p) and C_sd(p)^2 - C_su(p)^2 - C_t(p)^2.
+    Identities 5.3 and 5.5 compare it with its two other forms,
+    2*C_su(p)*C_t(p) and C_sd(p)^2 - C_su(p)^2 - C_t(p)^2.
     """
-    _require_odd_prime(p)
-    by_subtraction = (prime_squared_enumerator(p, "sd").total
-                      - prime_squared_enumerator(p, "su").total
-                      - prime_squared_enumerator(p, "t").total)
-    by_product = 2 * prime_enumerator(p, "su").total * prime_enumerator(p, "t").total
-    by_squares = (prime_enumerator(p, "sd").total ** 2
-                  - prime_enumerator(p, "su").total ** 2
-                  - prime_enumerator(p, "t").total ** 2)
-    if not (by_subtraction == by_product == by_squares):
-        raise ConsistencyError(
-            f"mixed count disagreement at p={p}: "
-            f"{by_subtraction} / {by_product} / {by_squares}")
-    return by_subtraction
+    return (prime_squared_enumerator(p, "sd").total
+            - prime_squared_enumerator(p, "su").total
+            - prime_squared_enumerator(p, "t").total)
 
 
 def log_concavity_probe(order: int,

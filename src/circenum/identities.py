@@ -4,11 +4,13 @@ Every identity has a key (the registry id used on the command line), an
 applicability predicate expressing its hypotheses, and a checker that
 recomputes BOTH sides from the closed-form enumerators (never reusing one
 side's intermediates for the other, so the identities remain a genuine test
-of the formulas).  Orders with no closed form fall back to the exhaustive
-oracle where desk-scale allows (order 2, and optionally small even orders).
+of the formulas).  Orders that counting.has_formula does not cover fall back
+to the exhaustive oracle where desk-scale allows (order 2, and optionally
+small orders).
 
 The four L2.* keys are cycle-index lemmas checked symbolically over the
-formal variables x_1, x_2, ...; everything else is numeric or polynomial.
+formal variables x_1, x_2, ... at a parameter m >= 1; everything else is
+numeric or polynomial.
 """
 
 from __future__ import annotations
@@ -19,10 +21,10 @@ from typing import Callable
 
 from .errors import UnsupportedOrderError
 from .algebra import GAUSSIAN_UNIT, UniPoly, cycle_index, eval_poly, to_sym
-from .counting import (count_by_formula, even_odd_split, formal_undirected,
-                       formula_kind, oriented_alternating_expected,
-                       prime_enumerator, prime_squared_enumerator,
-                       twice_prime_enumerator)
+from .counting import (CountResult, count_by_formula, even_odd_split,
+                       formal_undirected, formula_kind, has_formula, mixed_sd,
+                       oriented_alternating_expected, prime_enumerator,
+                       prime_squared_enumerator, twice_prime_enumerator)
 from .numtheory import (has_prime_divisor_3_mod_4, is_prime,
                         odd_part_decomposition)
 from . import oracle
@@ -62,21 +64,11 @@ def _odd_prime_square(n: int):
     return kind[1] if kind and kind[0] == "prime_squared" else None
 
 
-def _twice_odd_prime(n: int):
-    kind = formula_kind(n)
-    return kind[1] if kind and kind[0] == "twice_prime" else None
-
-
-def _d_poly(n: int) -> UniPoly:
-    if n == 2:
-        return oracle.enumerate_circulants(2, "d").by_valency
-    return count_by_formula(n, "d").by_valency
-
-
-def _count(n: int, klass: str) -> int:
-    if n == 2:
-        return oracle.enumerate_circulants(2, klass).total
-    return count_by_formula(n, klass).total
+def _count(n: int, klass: str) -> CountResult:
+    """The closed form where one covers the order, else the oracle."""
+    if has_formula(n, klass):
+        return count_by_formula(n, klass)
+    return oracle.enumerate_circulants(n, klass)
 
 
 def _poly_str(p: UniPoly) -> str:
@@ -95,21 +87,21 @@ def _ptilde_and_k(p: int) -> tuple[int, int]:
 def _check_3_1(p):
     q = (p + 1) // 2
     lhs = prime_enumerator(p, "u").by_valency
-    rhs = _d_poly(q).stretch(2)
+    rhs = _count(q, "d").by_valency.stretch(2)
     return _poly_str(lhs), _poly_str(rhs), lhs == rhs
 
 
 def _check_3_1p(p):
     q = (p + 1) // 2
     lhs = prime_enumerator(p, "u").total
-    rhs = _count(q, "d")
+    rhs = _count(q, "d").total
     return str(lhs), str(rhs), lhs == rhs
 
 
 def _check_3_2(p):
     q = (p + 1) // 2
     lhs = prime_enumerator(p, "su").total
-    rhs = _count(q, "sd")
+    rhs = _count(q, "sd").total
     return str(lhs), str(rhs), lhs == rhs
 
 
@@ -127,15 +119,8 @@ def _check_3_3p(p):
     return str(lhs), str(rhs), lhs == rhs
 
 
-def _su_total_any(n: int) -> int:
-    kind = formula_kind(n)
-    if kind and kind[0] in ("prime", "prime_squared"):
-        return count_by_formula(n, "su").total
-    return oracle.enumerate_circulants(n, "su").total
-
-
 def _check_3_4(n):
-    lhs = _su_total_any(n)
+    lhs = _count(n, "su").total
     return str(lhs), "0", lhs == 0
 
 
@@ -159,9 +144,7 @@ def _check_3_7(p):
 
 
 def _check_3_8(n):
-    q = _twice_odd_prime(n)
-    poly = (twice_prime_enumerator(q, "u").by_valency if q
-            else oracle.enumerate_circulants(n, "u").by_valency)
+    poly = _count(n, "u").by_valency
     odd_part = [poly.coeff(2 * r + 1) for r in range(poly.degree // 2 + 1)]
     even_part = [poly.coeff(2 * r) for r in range(poly.degree // 2 + 1)]
     return str(odd_part), str(even_part), odd_part == even_part
@@ -187,19 +170,21 @@ def _check_4_1pp(p):
     return str(cu), f"{a} = {b}", cu == a == b
 
 
-def _check_4_2(p):
+def _check_4_2(p, klass):
+    """4.2 (klass u) and its directed twin 4.4 (klass d)."""
     q = (p + 1) // 2
     ptilde, _ = _ptilde_and_k(p)
-    lhs = 4 * prime_enumerator(p, "u").total
-    rhs = twice_prime_enumerator(q, "u").total + 2 * formal_undirected(2 * ptilde + 1)(1)
+    lhs = 4 * prime_enumerator(p, klass).total
+    rhs = twice_prime_enumerator(q, klass).total + 2 * formal_undirected(2 * ptilde + 1)(1)
     return str(lhs), str(rhs), lhs == rhs
 
 
-def _check_4_3(p):
+def _check_4_3(p, klass):
+    """4.3 (klass u) and its directed twin 4.5 (klass d)."""
     q = (p + 1) // 2
     ptilde, k = _ptilde_and_k(p)
-    lhs = prime_enumerator(p, "u").by_valency.scale(2)
-    quotient = twice_prime_enumerator(q, "u").by_valency.divide_exact_poly(
+    lhs = prime_enumerator(p, klass).by_valency.scale(2)
+    quotient = twice_prime_enumerator(q, klass).by_valency.divide_exact_poly(
         UniPoly.one_plus(1))
     rhs = quotient + formal_undirected(2 * ptilde + 1).stretch(1 << k)
     return _poly_str(lhs), _poly_str(rhs), lhs == rhs
@@ -213,24 +198,6 @@ def _check_4_3p(p):
     lhs = [2 * cu_p.coeff(r) for r in range(2, top + 1, 4)]
     rhs = [cu_2q.coeff(r) for r in range(2, top + 1, 4)]
     return str(lhs), str(rhs), lhs == rhs
-
-
-def _check_4_4(p):
-    q = (p + 1) // 2
-    ptilde, _ = _ptilde_and_k(p)
-    lhs = 4 * prime_enumerator(p, "d").total
-    rhs = twice_prime_enumerator(q, "d").total + 2 * formal_undirected(2 * ptilde + 1)(1)
-    return str(lhs), str(rhs), lhs == rhs
-
-
-def _check_4_5(p):
-    q = (p + 1) // 2
-    ptilde, k = _ptilde_and_k(p)
-    lhs = prime_enumerator(p, "d").by_valency.scale(2)
-    quotient = twice_prime_enumerator(q, "d").by_valency.divide_exact_poly(
-        UniPoly.one_plus(1))
-    rhs = quotient + formal_undirected(2 * ptilde + 1).stretch(1 << k)
-    return _poly_str(lhs), _poly_str(rhs), lhs == rhs
 
 
 def _check_4_6(p):
@@ -248,23 +215,19 @@ def _check_4_6p(p):
     return str(lhs), str(rhs), lhs == rhs
 
 
-def _directed_not_undirected(n: int, at_twice: bool) -> UniPoly:
-    if at_twice:
-        q = n // 2
-        return (twice_prime_enumerator(q, "d").by_valency
-                - twice_prime_enumerator(q, "u").by_valency)
-    return prime_enumerator(n, "d").by_valency - prime_enumerator(n, "u").by_valency
+def _directed_not_undirected(n: int) -> UniPoly:
+    return count_by_formula(n, "d").by_valency - count_by_formula(n, "u").by_valency
 
 
 def _check_4_7(p):
-    lhs = (_directed_not_undirected(p, False) * UniPoly.one_plus(1)).scale(2)
-    rhs = _directed_not_undirected(p + 1, True)
+    lhs = (_directed_not_undirected(p) * UniPoly.one_plus(1)).scale(2)
+    rhs = _directed_not_undirected(p + 1)
     return _poly_str(lhs), _poly_str(rhs), lhs == rhs
 
 
 def _check_4_7p(p):
-    a = _directed_not_undirected(p, False)
-    b = _directed_not_undirected(p + 1, True)
+    a = _directed_not_undirected(p)
+    b = _directed_not_undirected(p + 1)
     top = max(a.degree + 1, b.degree)
     lhs = [2 * (a.coeff(r) + a.coeff(r - 1)) for r in range(top + 1)]
     rhs = [b.coeff(r) for r in range(top + 1)]
@@ -278,22 +241,16 @@ def _check_5_2(n):
     return str(lhs), str(rhs), lhs == rhs
 
 
-def _mixed_by_subtraction(p: int) -> int:
-    return (prime_squared_enumerator(p, "sd").total
-            - prime_squared_enumerator(p, "su").total
-            - prime_squared_enumerator(p, "t").total)
-
-
 def _check_5_3(n):
     p = _odd_prime_square(n)
-    lhs = _mixed_by_subtraction(p)
+    lhs = mixed_sd(p)
     rhs = 2 * prime_enumerator(p, "su").total * prime_enumerator(p, "t").total
     return str(lhs), str(rhs), lhs == rhs
 
 
 def _check_5_4(n):
     p = _odd_prime_square(n)
-    lhs = _mixed_by_subtraction(p)
+    lhs = mixed_sd(p)
     d = {klass: oracle.non_ci_count(n, klass)[0] for klass in ("sd", "su", "t")}
     rhs = d["sd"] - d["su"] - d["t"]
     return str(lhs), str(rhs), lhs == rhs
@@ -301,7 +258,7 @@ def _check_5_4(n):
 
 def _check_5_5(n):
     p = _odd_prime_square(n)
-    lhs = _mixed_by_subtraction(p)
+    lhs = mixed_sd(p)
     rhs = (prime_enumerator(p, "sd").total ** 2
            - prime_enumerator(p, "su").total ** 2
            - prime_enumerator(p, "t").total ** 2)
@@ -372,23 +329,58 @@ def _check_6_7(p):
     return str(even), str(rhs), even == rhs
 
 
+# Cycle-index lemmas, checked symbolically at the parameter m.
+
+def _odd(r):
+    return r % 2 == 1
+
+
+def _positive(m):
+    return m >= 1
+
+
+def _lemma_2_1(m):
+    decomp = odd_part_decomposition(m)
+    shift = 1 << (decomp.two_exponent + 1)
+    lhs = to_sym(cycle_index(2 * m)).scale(2)
+    rhs = (to_sym(cycle_index(m), exponent_transform="square")
+           + to_sym(cycle_index(decomp.odd_part),
+                    index_transform=lambda r: r * shift))
+    return repr(lhs), repr(rhs), lhs == rhs
+
+
+def _lemma_2_4(m):
+    lhs = to_sym(cycle_index(2 * m),
+                 index_transform=lambda r: None if _odd(r) else r // 2).scale(2)
+    rhs = (to_sym(cycle_index(m))
+           + to_sym(cycle_index(m),
+                    index_transform=lambda r: None if _odd(r) else r))
+    return repr(lhs), repr(rhs), lhs == rhs
+
+
+def _lemma_2_6(m):
+    lhs = to_sym(cycle_index(m))
+    rhs = to_sym(cycle_index(2 * m),
+                 index_transform=lambda r: r if _odd(r) else r // 2,
+                 exponent_transform=lambda r: "sqrt" if _odd(r) else None)
+    return repr(lhs), repr(rhs), lhs == rhs
+
+
+def _lemma_2_7(m):
+    lhs = to_sym(cycle_index(2 * m),
+                 index_transform=lambda r: None if _odd(r) else r // 2)
+    rhs = (to_sym(cycle_index(2 * m),
+                  index_transform=lambda r: r if _odd(r) else None,
+                  exponent_transform=lambda r: "sqrt" if _odd(r) else None)
+           + to_sym(cycle_index(m),
+                    index_transform=lambda r: None if _odd(r) else r))
+    return repr(lhs), repr(rhs), lhs == rhs
+
+
 # --- applicability / evaluability table -------------------------------------
-
-def _app_3_3(n):
-    return n > 3 and _nearly_doubled_odd(n)
-
 
 def _app_3_4(n):
     return n >= 3 and n % 2 == 1 and has_prime_divisor_3_mod_4(n)
-
-
-def _eval_3_4(n, allow_oracle):
-    if _odd_prime(n):
-        return True
-    p = _odd_prime_square(n)
-    if p is not None:
-        return True
-    return allow_oracle and n <= oracle.DESK_LIMIT
 
 
 def _app_3_5(n):
@@ -399,11 +391,14 @@ def _app_3_5(n):
 
 
 def _app_3_8(n):
-    return _twice_odd_prime(n) is not None or n in (4, 8, 12)
+    # even orders: a formula at twice an odd prime, the oracle at 4, 8, 12
+    return n in (4, 8, 12) or (n % 2 == 0 and has_formula(n, "u"))
 
 
-def _eval_3_8(n, allow_oracle):
-    return _twice_odd_prime(n) is not None or (allow_oracle and n in (4, 8, 12))
+def _formula_or_desk_oracle(klass):
+    """Evaluable where a closed form covers the class, or the oracle may run."""
+    return lambda n, allow_oracle: (has_formula(n, klass)
+                                    or (allow_oracle and n <= oracle.DESK_LIMIT))
 
 
 def _app_prime_square(n):
@@ -412,15 +407,6 @@ def _app_prime_square(n):
 
 def _eval_oracle_square(n, allow_oracle):
     return n <= oracle.DESK_LIMIT
-
-
-def _app_6_1(n):
-    return (_odd_prime(n) or _twice_odd_prime(n) is not None
-            or _odd_prime_square(n) is not None)
-
-
-def _app_6_2(n):
-    return _odd_prime(n) or _odd_prime_square(n) is not None
 
 
 _ALWAYS = lambda n, allow_oracle: True
@@ -439,31 +425,32 @@ _REGISTRY = [
     _Identity("3.1", "c_u(p,z) = c_d((p+1)/2, z^2)", _half_successor_prime, _check_3_1),
     _Identity("3.1'", "C_u(p) = C_d((p+1)/2)", _half_successor_prime, _check_3_1p),
     _Identity("3.2", "C_su(p) = C_sd((p+1)/2)", _half_successor_prime, _check_3_2),
-    _Identity("3.3", "2 c_o(p,z) = c_o(p+1,z) + 1", _app_3_3, _check_3_3),
-    _Identity("3.3'", "2 C_o(p) = C_o(p+1) + 1", _app_3_3, _check_3_3p),
+    _Identity("3.3", "2 c_o(p,z) = c_o(p+1,z) + 1", _nearly_doubled_odd, _check_3_3),
+    _Identity("3.3'", "2 C_o(p) = C_o(p+1) + 1", _nearly_doubled_odd, _check_3_3p),
     _Identity("3.4", "C_su(n) = 0 when some prime divisor is 3 mod 4",
-              _app_3_4, _check_3_4, _eval_3_4),
+              _app_3_4, _check_3_4, _formula_or_desk_oracle("su")),
     _Identity("3.5", "C_sd(n) = C_t(n) at n = p, p^2 with p = 3 mod 4",
               _app_3_5, _check_3_5),
     _Identity("3.6", "C_su(p) = C_t((p+1)/2) when p = 5 mod 8",
               lambda n: _half_successor_prime(n) and n % 8 == 5, _check_3_6),
     _Identity("3.7", "C_sd(p) = C_t(p) + C_su(p)", _odd_prime, _check_3_7),
-    _Identity("3.8", "C_u(2n, 2r+1) = C_u(2n, 2r)", _app_3_8, _check_3_8, _eval_3_8),
+    _Identity("3.8", "C_u(2n, 2r+1) = C_u(2n, 2r)", _app_3_8, _check_3_8,
+              _formula_or_desk_oracle("u")),
     _Identity("4.1", "2 C_sd(p) = C_u(p) + C_su(p)", _odd_prime, _check_4_1),
     _Identity("4.1'", "C_u(p) = 2 C_sd(p) = 2 C_t(p) when p = 3 mod 4",
               lambda n: _odd_prime(n) and n % 4 == 3, _check_4_1p),
     _Identity("4.1''", "C_u(p) = C_sd(p) + C_t(p) = C_su(p) + 2 C_t(p)",
               _odd_prime, _check_4_1pp),
     _Identity("4.2", "4 C_u(p) = C_u(p+1) + 2 Cbar_u(2pt+1)",
-              _nearly_doubled_odd, _check_4_2),
+              _nearly_doubled_odd, lambda p: _check_4_2(p, "u")),
     _Identity("4.3", "2 c_u(p,z) = c_u(p+1,z)/(1+z) + cbar_u(2pt+1, z^(2^k))",
-              _nearly_doubled_odd, _check_4_3),
+              _nearly_doubled_odd, lambda p: _check_4_3(p, "u")),
     _Identity("4.3'", "2 C_u(p,4r+2) = C_u(p+1,4r+2)",
               _nearly_doubled_odd, _check_4_3p),
     _Identity("4.4", "4 C_d(p) = C_d(p+1) + 2 Cbar_u(2pt+1)",
-              _nearly_doubled_odd, _check_4_4),
+              _nearly_doubled_odd, lambda p: _check_4_2(p, "d")),
     _Identity("4.5", "2 c_d(p,z) = c_d(p+1,z)/(1+z) + cbar_u(2pt+1, z^(2^k))",
-              _nearly_doubled_odd, _check_4_5),
+              _nearly_doubled_odd, lambda p: _check_4_3(p, "d")),
     _Identity("4.6", "4 C_d(p) - C_d(p+1) = 4 C_u(p) - C_u(p+1)",
               _nearly_doubled_odd, _check_4_6),
     _Identity("4.6'", "4 C_dnu(p) = C_dnu(p+1)", _nearly_doubled_odd, _check_4_6p),
@@ -480,45 +467,49 @@ _REGISTRY = [
               _app_prime_square, _check_5_5),
     _Identity("5.6", "C_sd(p^2) = C_su(p^2) + C_t(p^2) + 2 C_su(p) C_t(p)",
               _app_prime_square, _check_5_6),
-    _Identity("6.1", "c_d(n,-1) = C_sd(n)", _app_6_1, _check_6_1),
-    _Identity("6.2", "c_u(n,z)|z^2=-1 = C_su(n)", _app_6_2, _check_6_2),
-    _Identity("6.3", "c_o(n,-1) in {0,1} by divisor congruences", _app_6_1, _check_6_3),
+    _Identity("6.1", "c_d(n,-1) = C_sd(n)", lambda n: has_formula(n, "d"), _check_6_1),
+    _Identity("6.2", "c_u(n,z)|z^2=-1 = C_su(n)", lambda n: has_formula(n, "su"),
+              _check_6_2),
+    _Identity("6.3", "c_o(n,-1) in {0,1} by divisor congruences",
+              lambda n: has_formula(n, "d"), _check_6_3),
     _Identity("6.4", "2 c_d(p,-1) = c_u(p,1) + c_u(p, sqrt(-1))", _odd_prime, _check_6_4),
     _Identity("6.5", "directed even/odd valency split against (C_d +- C_sd)/2",
-              _app_6_1, _check_6_5),
+              lambda n: has_formula(n, "d"), _check_6_5),
     _Identity("6.6", "undirected semi-valency split against (C_u +- C_su)/2",
-              _app_6_2, _check_6_6),
+              lambda n: has_formula(n, "su"), _check_6_6),
     _Identity("6.7", "even-semi-valency undirected count = C_sd(p)", _odd_prime, _check_6_7),
+    _Identity("L2.1", "cycle-index lemma", _positive, _lemma_2_1),
+    _Identity("L2.4", "cycle-index lemma", _positive, _lemma_2_4),
+    _Identity("L2.6", "cycle-index lemma", _positive, _lemma_2_6),
+    _Identity("L2.7", "cycle-index lemma", _positive, _lemma_2_7),
 ]
 
 IDENTITIES = {ident.key: ident for ident in _REGISTRY}
-LEMMA_KEYS = ("L2.1", "L2.4", "L2.6", "L2.7")
-IDENTITY_KEYS = tuple(IDENTITIES) + LEMMA_KEYS
+IDENTITY_KEYS = tuple(IDENTITIES)
+LEMMA_KEYS = ("L2.1", "L2.4", "L2.6", "L2.7")   # instantiated up to lemma_bound
+
+
+def _identity(key: str) -> _Identity:
+    try:
+        return IDENTITIES[key]
+    except KeyError:
+        raise KeyError(f"unknown identity key {key!r}") from None
 
 
 def applicable(key: str, n: int) -> bool:
     """Do the identity's hypotheses hold at order n?"""
-    if key in LEMMA_KEYS:
-        return n >= 1
-    if key not in IDENTITIES:
-        raise KeyError(f"unknown identity key {key!r}")
-    return IDENTITIES[key].applies(n)
+    return _identity(key).applies(n)
 
 
 def evaluable(key: str, n: int, allow_oracle: bool = False) -> bool:
     """Can both sides actually be computed at order n at desk scale?"""
-    if key in LEMMA_KEYS:
-        return n >= 1
-    return applicable(key, n) and IDENTITIES[key].evaluable(n, allow_oracle)
+    ident = _identity(key)
+    return ident.applies(n) and ident.evaluable(n, allow_oracle)
 
 
 def check(key: str, n: int, allow_oracle: bool = False) -> IdentityReport:
     """Evaluate both sides of one identity at order n and compare exactly."""
-    if key in LEMMA_KEYS:
-        return check_lemma(key, n)
-    ident = IDENTITIES.get(key)
-    if ident is None:
-        raise KeyError(f"unknown identity key {key!r}")
+    ident = _identity(key)
     start = time.perf_counter()
     if not ident.applies(n):
         return IdentityReport(key, n, "not-applicable", "", "",
@@ -530,45 +521,6 @@ def check(key: str, n: int, allow_oracle: bool = False) -> IdentityReport:
     lhs, rhs, holds = ident.run(n)
     return IdentityReport(key, n, "holds" if holds else "fails", lhs, rhs,
                           time.perf_counter() - start)
-
-
-def check_lemma(key: str, m: int) -> IdentityReport:
-    """Verify one cycle-index lemma symbolically at parameter m."""
-    if m < 1:
-        raise ValueError("lemma parameter must be positive")
-    start = time.perf_counter()
-    odd = lambda r: r % 2 == 1
-    if key == "L2.1":
-        decomp = odd_part_decomposition(m)
-        shift = 1 << (decomp.two_exponent + 1)
-        lhs = to_sym(cycle_index(2 * m)).scale(2)
-        rhs = (to_sym(cycle_index(m), exponent_transform="square")
-               + to_sym(cycle_index(decomp.odd_part),
-                        index_transform=lambda r: r * shift))
-    elif key == "L2.4":
-        lhs = to_sym(cycle_index(2 * m),
-                     index_transform=lambda r: None if odd(r) else r // 2).scale(2)
-        rhs = (to_sym(cycle_index(m))
-               + to_sym(cycle_index(m),
-                        index_transform=lambda r: None if odd(r) else r))
-    elif key == "L2.6":
-        lhs = to_sym(cycle_index(m))
-        rhs = to_sym(cycle_index(2 * m),
-                     index_transform=lambda r: r if odd(r) else r // 2,
-                     exponent_transform=lambda r: "sqrt" if odd(r) else None)
-    elif key == "L2.7":
-        lhs = to_sym(cycle_index(2 * m),
-                     index_transform=lambda r: None if odd(r) else r // 2)
-        rhs = (to_sym(cycle_index(2 * m),
-                      index_transform=lambda r: r if odd(r) else None,
-                      exponent_transform=lambda r: "sqrt" if odd(r) else None)
-               + to_sym(cycle_index(m),
-                        index_transform=lambda r: None if odd(r) else r))
-    else:
-        raise KeyError(f"unknown lemma key {key!r}")
-    holds = lhs == rhs
-    return IdentityReport(key, m, "holds" if holds else "fails",
-                          repr(lhs), repr(rhs), time.perf_counter() - start)
 
 
 def verify_range(keys=None, order_bound: int = 100, lemma_bound: int = 64,
@@ -583,13 +535,10 @@ def verify_range(keys=None, order_bound: int = 100, lemma_bound: int = 64,
         keys = IDENTITY_KEYS
     reports = []
     for key in keys:
-        if key in LEMMA_KEYS:
-            for m in range(1, lemma_bound + 1):
-                reports.append(check_lemma(key, m))
-            continue
-        if key not in IDENTITIES:
-            raise KeyError(f"unknown identity key {key!r}")
-        for n in range(2, order_bound + 1):
-            if applicable(key, n) and evaluable(key, n, allow_oracle):
+        ident = _identity(key)
+        orders = (range(1, lemma_bound + 1) if key in LEMMA_KEYS
+                  else range(2, order_bound + 1))
+        for n in orders:
+            if ident.applies(n) and ident.evaluable(n, allow_oracle):
                 reports.append(check(key, n, allow_oracle))
     return reports

@@ -56,10 +56,6 @@ class ConnectionSet:
         return cls(order, frozenset(_mask_to_set(mask)))
 
     @property
-    def mask(self) -> int:
-        return sum(1 << s for s in self.members)
-
-    @property
     def valency(self) -> int:
         return len(self.members)
 
@@ -294,25 +290,21 @@ class _Survey:
         self.undirected_only = undirected_only
         units = _units(n)
         masks = self._eligible_masks(n, undirected_only)
-        # multiplier orbits; each keeps its lexicographically least member
+        # multiplier orbits; each keeps its lexicographically least member.
+        # The units form a group, so one pass over them reaches the orbit.
         orbit_of: dict[int, int] = {}
         orbit_reps: list[int] = []
         orbit_sizes: list[int] = []
         for mask in masks:
             if mask in orbit_of:
                 continue
+            members = _mask_to_set(mask)
             orbit = {mask}
-            stack = [mask]
-            while stack:
-                cur = stack.pop()
-                members = _mask_to_set(cur)
-                for m in units:
-                    new = 0
-                    for s in members:
-                        new |= 1 << (m * s % n)
-                    if new not in orbit:
-                        orbit.add(new)
-                        stack.append(new)
+            for m in units:
+                new = 0
+                for s in members:
+                    new |= 1 << (m * s % n)
+                orbit.add(new)
             idx = len(orbit_reps)
             orbit_reps.append(min(orbit, key=_set_sort_key))
             orbit_sizes.append(len(orbit))
@@ -504,13 +496,3 @@ def classify_self_complementary(n: int) -> tuple[int, int, int]:
         else:
             mixed += 1
     return undirected, tournament, mixed
-
-
-def class_representatives(n: int, klass: str, allow_slow: bool = False) -> list[str]:
-    """One line per isomorphism class: 'n;valency;lex-min set;class size'."""
-    survey = _survey_for(n, klass, allow_slow)
-    lines = []
-    for c in sorted(survey.select(klass), key=lambda c: (c.valency, c.rep_mask)):
-        members = ",".join(str(s) for s in sorted(_mask_to_set(c.rep_mask)))
-        lines.append(f"{n};{c.valency};{{{members}}};{c.set_count}")
-    return lines

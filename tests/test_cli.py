@@ -198,6 +198,15 @@ def test_format_env_default(capsys, monkeypatch):
     assert json.loads(out)["total"] == "8"
 
 
+def test_format_env_rejects_unknown_format(capsys, monkeypatch):
+    monkeypatch.setenv("CIRCENUM_FORMAT", "xml")
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--order", "13", "--class", "d"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert sum("error" in line for line in captured.err.splitlines()) == 1
+
+
 def test_format_flag_after_subcommand(capsys):
     code, out, _ = run(capsys, "count", "--order", "13", "--class", "sd",
                        "--format", "json")

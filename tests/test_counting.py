@@ -12,6 +12,7 @@ from circenum.counting import (CLASSES, alternating_sum, count_by_formula,
                                prime_squared_enumerator,
                                twice_prime_enumerator)
 from circenum.errors import InexactDivisionError, UnsupportedOrderError
+from circenum.identities import check
 from circenum.numtheory import is_prime
 
 from golden import COLUMN_CLASSES, TABLE1, TABLE2_D, TABLE2_O, TABLE2_U
@@ -264,9 +265,10 @@ def test_mixed_sd_values():
 
 
 def test_mixed_sd_internal_consistency_to_100():
-    # the three equivalent forms are compared inside mixed_sd
-    for p in [n for n in range(3, 101) if is_prime(n)]:
-        assert mixed_sd(p) >= 0
+    # identities 5.3 and 5.5 compare mixed_sd with its two other forms
+    for p in [n for n in range(3, 100) if is_prime(n)]:
+        assert check("5.3", p * p).status == "holds", p
+        assert check("5.5", p * p).status == "holds", p
 
 
 # --- log-concavity -------------------------------------------------------------------

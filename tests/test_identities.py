@@ -1,9 +1,11 @@
+import hashlib
+import json
+
 import pytest
 
 from circenum.errors import UnsupportedOrderError
 from circenum.identities import (IDENTITIES, IDENTITY_KEYS, LEMMA_KEYS,
-                                 applicable, check, check_lemma, evaluable,
-                                 verify_range)
+                                 applicable, check, evaluable, verify_range)
 
 
 def test_registry_covers_expected_keys():
@@ -91,19 +93,20 @@ def test_check_oracle_backed_identities():
 
 def test_check_lemma_smallest_cases():
     for key in LEMMA_KEYS:
-        assert check_lemma(key, 1).status == "holds"
+        assert check(key, 1).status == "holds"
+        assert check(key, 0).status == "not-applicable"
 
 
 def test_check_lemma_spec_instances():
-    assert check_lemma("L2.1", 6).status == "holds"
+    assert check("L2.1", 6).status == "holds"
     for m in range(1, 33):
-        assert check_lemma("L2.6", m).status == "holds"
+        assert check("L2.6", m).status == "holds"
 
 
 def test_lemmas_hold_to_64():
     for key in LEMMA_KEYS:
         for m in range(1, 65):
-            assert check_lemma(key, m).status == "holds", (key, m)
+            assert check(key, m).status == "holds", (key, m)
 
 
 def test_unknown_key_errors():
@@ -112,7 +115,11 @@ def test_unknown_key_errors():
     with pytest.raises(KeyError):
         applicable("9.9", 13)
     with pytest.raises(KeyError):
-        check_lemma("L9.9", 3)
+        check("L9.9", 3)
+    with pytest.raises(KeyError):
+        evaluable("9.9", 13)
+    with pytest.raises(KeyError):
+        verify_range(keys=("9.9",), order_bound=1)
 
 
 def test_verify_range_all_hold_to_100():
@@ -163,3 +170,15 @@ def test_reports_serialize():
 
 def test_descriptions_present():
     assert all(ident.description for ident in IDENTITIES.values())
+
+
+def test_verify_digest_unchanged():
+    # SHA-256 of every report of the order-300 sweep with lemmas to 128 and
+    # the oracle extension (1,535 reports), computed before the registry
+    # refactor that folded the lemmas and formula coverage into one path
+    reports = verify_range(order_bound=300, lemma_bound=128, allow_oracle=True)
+    assert len(reports) == 1535
+    text = "\n".join(json.dumps([r.key, r.order, r.status, r.lhs, r.rhs])
+                     for r in reports)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "7be44109502e8c2f5f1c9598803505e5e59ec27c58da29d3fab4602ef02f6721"

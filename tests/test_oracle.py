@@ -7,9 +7,8 @@ import pytest
 from circenum.counting import count_by_formula, formula_kind
 from circenum.errors import UnsupportedOrderError
 from circenum.oracle import (ConnectionSet, canonical_form, cayley_classes,
-                             class_representatives, classify_self_complementary,
-                             digraph_certificate, enumerate_circulants,
-                             non_ci_count)
+                             classify_self_complementary, digraph_certificate,
+                             enumerate_circulants, non_ci_count)
 
 from golden import (COLUMN_CLASSES, ORIENTED_CORRECTIONS,
                     ORIENTED_MISPRINTS_AT_CI_ORDERS, TABLE1)
@@ -383,10 +382,3 @@ def test_classification_sums_to_sd_total():
 def test_mixed_vanishes_at_primes():
     for p in (5, 7, 11, 13):
         assert classify_self_complementary(p)[2] == 0
-
-
-# --- representatives dump ---------------------------------------------------------------
-
-def test_class_representatives_format():
-    lines = class_representatives(5, "u")
-    assert lines == ["5;0;{};1", "5;2;{1,4};2", "5;4;{1,2,3,4};1"]
