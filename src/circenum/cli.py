@@ -311,7 +311,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_primes.add_argument("--limit", type=_int_at_least(2), default=1000)
     p_primes.add_argument("--ptilde", type=int)
     p_primes.add_argument("--kmax", type=_int_at_least(0), default=100)
-    p_primes.add_argument("--mr-rounds", type=_int_at_least(0), default=40)
+    p_primes.add_argument("--mr-rounds", type=_int_at_least(0), default=40,
+                          help="extra Miller-Rabin bases for chain candidates "
+                               "above 2^64 with ptilde >= 2^k (Proth's theorem "
+                               "decides the others there)")
     _add_format_option(p_primes)
     p_primes.set_defaults(func=cmd_primes)
 

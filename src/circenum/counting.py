@@ -206,10 +206,12 @@ def oriented_alternating_expected(n: int) -> int:
     """The predicted value of the oriented alternating sum at order n.
 
     Odd n: 0 when some prime divisor of n is congruent to 3 mod 4, else 1.
-    n = 2 * odd: 1.  Multiples of 4 up to 4 * squarefree: 0.
+    n = 2 * odd: 1.  No value is predicted at multiples of 4, where the sum
+    varies (the oracle gives 1, 0, 6 at n = 8, 12, 16): ValueError.
     """
     if n % 4 == 0:
-        return 0
+        raise ValueError(f"no predicted oriented alternating sum at order {n}, "
+                         "a multiple of 4")
     if n % 2 == 0:
         return 1
     return 0 if has_prime_divisor_3_mod_4(n) else 1

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import isqrt
 
 # Deterministic Miller-Rabin witnesses: the twelve primes up to 37 are correct
 # for all n < 3.18 * 10^23; only the 64-bit range is relied on.
@@ -140,15 +141,97 @@ def nearly_doubled_primes(limit: int) -> list[PrimePair]:
     return pairs
 
 
+# Odd primes below this bound sieve the chain candidates before any test.
+_SIEVE_BOUND = 1000
+
+
+def _primes_below(bound: int) -> list[int]:
+    """Odd primes below bound (sieve of Eratosthenes)."""
+    sieve = bytearray([1]) * bound
+    for i in range(3, isqrt(bound - 1) + 1, 2):
+        if sieve[i]:
+            sieve[i * i::2 * i] = bytes(len(range(i * i, bound, 2 * i)))
+    return [p for p in range(3, bound, 2) if sieve[p]]
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a|n) for odd n >= 1."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _proth_prime(n: int, rounds: int) -> bool:
+    """Primality of a Proth number n = ptilde*2^k + 1 (odd ptilde < 2^k) above 2^64.
+
+    Proth's theorem: with (a|n) = -1, n is prime iff a^((n-1)/2) = -1 mod n,
+    so one exponentiation decides and a "prime" answer is a proof.  A witness
+    sharing a factor with n shows n composite.  When no witness has symbol -1
+    (n a perfect square, for one) this falls back to is_prime.
+    """
+    for a in _SMALL_PRIME_WITNESSES:
+        symbol = _jacobi(a, n)
+        if symbol == 0:
+            return False
+        if symbol == -1:
+            return pow(a, (n - 1) // 2, n) == n - 1
+    return is_prime(n, rounds)
+
+
 def cunningham_pairs(ptilde: int, k_max: int, rounds: int = 40) -> list[int]:
     """Chain starts k <= k_max with ptilde*2^k + 1 and ptilde*2^(k+1) + 1 both prime.
 
     These are Cunningham chains of the second kind of length 2 over the family
     ptilde*2^k + 1; each reported k yields the nearly doubled pair
     q = ptilde*2^k + 1, p = ptilde*2^(k+1) + 1 = 2q - 1.  The smaller index of
-    each pair is reported.  Probabilistic above 2^64 (see is_prime).
+    each pair is reported.
+
+    First each odd prime l < 1000 strikes the k where l properly divides
+    ptilde*2^k + 1; those k recur with period ord_l(2).  A k is tested only
+    when k and k + 1 both survive, and each number is tested at most once.  Above 2^64 a number with
+    ptilde < 2^k is decided by Proth's theorem, so a reported prime is proven;
+    with ptilde >= 2^k it gets Miller-Rabin with `rounds` extra bases (see
+    is_prime), as does every number below 2^64.
     """
     if ptilde < 1 or ptilde % 2 == 0:
         raise ValueError(f"cunningham_pairs requires odd ptilde >= 1, got {ptilde}")
-    prime_at = [is_prime(ptilde * (1 << k) + 1, rounds) for k in range(k_max + 2)]
-    return [k for k in range(k_max + 1) if prime_at[k] and prime_at[k + 1]]
+    alive = bytearray([1]) * (k_max + 2)
+    for ell in _primes_below(_SIEVE_BOUND):
+        # r = ptilde*2^k mod l takes each value at most once per period
+        start = r = ptilde % ell
+        hit, period = None, k_max + 2
+        for k in range(k_max + 2):
+            if r == ell - 1:
+                hit = k
+            r = 2 * r % ell
+            if r == start:
+                period = k + 1
+                break
+        if hit is None:
+            continue
+        if (ptilde << hit) + 1 == ell:  # the number is l itself: keep it
+            hit += period
+        alive[hit::period] = bytes(len(range(hit, k_max + 2, period)))
+
+    known: dict[int, bool] = {}
+
+    def prime_at(k: int) -> bool:
+        if k not in known:
+            n = (ptilde << k) + 1
+            if n >= _DETERMINISTIC_BOUND and ptilde < (1 << k):
+                known[k] = _proth_prime(n, rounds)
+            else:
+                known[k] = is_prime(n, rounds)
+        return known[k]
+
+    return [k for k in range(k_max + 1)
+            if alive[k] and alive[k + 1] and prime_at(k) and prime_at(k + 1)]

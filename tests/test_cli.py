@@ -122,6 +122,23 @@ def test_primes_chain(capsys):
     assert code == 0 and "4, 16, 128" in out
 
 
+@pytest.mark.parametrize("ptilde,kmax,text,json_line", [
+    ("9", "1000",
+     "chain starts k with 9*2^k+1 and 9*2^(k+1)+1 prime, k <= 1000: 1, 2, 6, 42\n",
+     '{"k":[1,2,6,42],"k_max":1000,"ptilde":9}\n'),
+    ("21", "200",
+     "chain starts k with 21*2^k+1 and 21*2^(k+1)+1 prime, k <= 200: 4, 16, 128\n",
+     '{"k":[4,16,128],"k_max":200,"ptilde":21}\n'),
+    ("1", "20",
+     "chain starts k with 1*2^k+1 and 1*2^(k+1)+1 prime, k <= 20: 0, 1\n",
+     '{"k":[0,1],"k_max":20,"ptilde":1}\n'),
+])
+def test_primes_chain_output_pinned(capsys, ptilde, kmax, text, json_line):
+    argv = ("primes", "--chain", "--ptilde", ptilde, "--kmax", kmax)
+    assert run(capsys, *argv) == (0, text, "")
+    assert run(capsys, *argv, "--format", "json") == (0, json_line, "")
+
+
 def test_primes_chain_parity_guard(capsys):
     code, _, err = run(capsys, "primes", "--chain", "--ptilde", "2",
                        "--kmax", "10")

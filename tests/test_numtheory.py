@@ -1,9 +1,10 @@
 import pytest
 
-from circenum.numtheory import (OddPartDecomposition, cunningham_pairs,
-                                divisors, euler_phi, has_prime_divisor_3_mod_4,
-                                is_prime, nearly_doubled_primes,
-                                odd_part_decomposition)
+from circenum import numtheory
+from circenum.numtheory import (OddPartDecomposition, _proth_prime,
+                                cunningham_pairs, divisors, euler_phi,
+                                has_prime_divisor_3_mod_4, is_prime,
+                                nearly_doubled_primes, odd_part_decomposition)
 
 
 def test_euler_phi_basics():
@@ -98,6 +99,14 @@ def test_nearly_doubled_primes_trivial_limit():
     (3, 50, [1, 5]),
     (9, 50, [1, 2, 6, 42]),
     (15, 40, [1, 9, 37]),
+    (9, 1000, [1, 2, 6, 42]),
+    # N = 2, 3, 5 (ptilde 1, k = 0, 1, 2) and N = 13 (ptilde 3, k = 2) are
+    # themselves primes of the sieve and must not be struck
+    (1, 0, [0]),
+    (1, 1, [0, 1]),
+    (1, 20, [0, 1]),
+    (3, 1, [1]),
+    (3, 2, [1]),
 ])
 def test_cunningham_pairs(ptilde, kmax, expected):
     assert cunningham_pairs(ptilde, kmax) == expected
@@ -112,3 +121,42 @@ def test_cunningham_pairs_define_nearly_doubled_pairs():
 def test_cunningham_pairs_rejects_even_ptilde():
     with pytest.raises(ValueError):
         cunningham_pairs(2, 10)
+
+
+def _reference_pairs(ptilde, k_max):
+    prime_at = [is_prime(ptilde * 2 ** k + 1) for k in range(k_max + 2)]
+    return [k for k in range(k_max + 1) if prime_at[k] and prime_at[k + 1]]
+
+
+@pytest.mark.parametrize("ptilde,kmax",
+                         [(p, 300) for p in list(range(1, 64, 2)) + [105, 1155, 15015]]
+                         + [(2 ** 64 + 1, 90), (3 ** 41, 90), (2 ** 70 + 3, 90)])
+def test_cunningham_pairs_match_reference_loop(ptilde, kmax):
+    # sieve, pair-aware testing and Proth against one is_prime per candidate;
+    # ptilde >= 2^k at the smallest k of every case, and above 2^64 (where
+    # Miller-Rabin stays) for the three large ptilde up to k = 64-70
+    assert cunningham_pairs(ptilde, kmax) == _reference_pairs(ptilde, kmax)
+
+
+@pytest.mark.parametrize("k,prime", [
+    (65, True), (134, True),
+    # 9*2^68 + 1 has the witness 5 as a factor; 9*2^66 + 1 and 9*2^71 + 1
+    # have no factor among the witnesses
+    (66, False), (68, False), (71, False),
+])
+def test_proth_prime(k, prime):
+    assert _proth_prime(9 * 2 ** k + 1, 40) == prime
+
+
+def test_proth_prime_square_falls_back_to_miller_rabin(monkeypatch):
+    n = (2 ** 40 + 1) ** 2
+    assert n == (2 ** 39 + 1) * 2 ** 41 + 1
+    fallbacks = []
+
+    def spy(m, rounds=40):
+        fallbacks.append(m)
+        return is_prime(m, rounds)
+
+    monkeypatch.setattr(numtheory, "is_prime", spy)
+    assert not _proth_prime(n, 40)
+    assert fallbacks == [n]

@@ -4,7 +4,9 @@ from itertools import permutations
 
 import pytest
 
-from circenum.counting import count_by_formula, formula_kind
+from circenum.algebra import eval_poly
+from circenum.counting import (count_by_formula, formula_kind,
+                               oriented_alternating_expected)
 from circenum.errors import UnsupportedOrderError
 from circenum.oracle import (ConnectionSet, canonical_form, cayley_classes,
                              classify_self_complementary, digraph_certificate,
@@ -235,6 +237,16 @@ def test_printed_oriented_counts_at_ci_orders():
                 differing.add(n)
                 assert orbits == ORIENTED_CORRECTIONS.get(n, orbits)
     assert differing == {12, 15} | set(ORIENTED_MISPRINTS_AT_CI_ORDERS)
+
+
+def test_oriented_alternating_sum_unpredicted_at_multiples_of_4():
+    # c_o(n, -1) takes no single value at multiples of 4
+    got = {n: eval_poly(enumerate_circulants(n, "o").by_valency, -1)
+           for n in (8, 12, 16)}
+    assert got == {8: 1, 12: 0, 16: 6}
+    for n in got:
+        with pytest.raises(ValueError):
+            oriented_alternating_expected(n)
 
 
 def test_oriented_count_order_8_by_exhaustive_permutation_search():
