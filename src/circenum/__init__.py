@@ -12,8 +12,7 @@ from .errors import (ConsistencyError, InexactDivisionError, ParityError,
 from .numtheory import (OddPartDecomposition, PrimePair, cunningham_pairs,
                         divisors, euler_phi, is_prime, nearly_doubled_primes,
                         odd_part_decomposition)
-from .algebra import (GAUSSIAN_UNIT, CycleIndex, SymPoly, UniPoly, cycle_index,
-                      eval_poly, substitute, to_sym)
+from .algebra import CycleIndex, UniPoly, cycle_index, substitute, to_sym
 from .counting import (CLASSES, CountResult, alternating_sum, count_by_formula,
                        even_odd_split, formal_undirected,
                        formal_undirected_count, log_concavity_probe, mixed_sd,

@@ -8,11 +8,15 @@ group,
 substitute a polynomial in z (or a constant) for each variable x_r, and divide
 exactly by n.  This module supplies the three representations involved:
 
-* UniPoly    -- univariate integer polynomials in z (the counting series);
+* UniPoly    -- univariate integer polynomials in z (the counting series),
+                evaluated at -1 as p(-1) and at a square root of -1 as
+                p.at_i();
 * CycleIndex -- the divisor-indexed term list of I_n;
-* SymPoly    -- sparse multivariate polynomials over Q in the formal variable
-                families x_1, x_2, ... and y_1, y_2, ..., used to state and
-                verify identities between cycle indices symbolically.
+* SymPoly    -- sparse multivariate polynomials over Q in the formal variables
+                x_1, x_2, ..., used to state and verify identities between
+                cycle indices symbolically.  to_sym renders I_n as one, with
+                each term x_r^e rewritten by a function (r, e) -> (t, f),
+                meaning x_t^f, or dropped.
 
 Every value the formulas substitute is a binomial 1 + c*z^(k*r) (a constant
 when k = 0), prescribed either for x_r itself or for x_r^2; the latter is
@@ -26,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable
 
 from .errors import InexactDivisionError, ParityError
 from .numtheory import divisors, euler_phi
@@ -167,32 +171,23 @@ class UniPoly:
             result = result * at + c
         return result
 
+    def at_i(self) -> int:
+        """Evaluate at z = i, a square root of -1: sum_{r even} (-1)^(r/2) * c_r.
+
+        Every odd-power coefficient must vanish, or the value is not an integer.
+        """
+        for r in range(1, len(self.coeffs), 2):
+            if self.coeffs[r]:
+                raise ValueError(
+                    f"gaussian-unit evaluation needs even powers only; z^{r} present")
+        return sum(self.coeffs[0::4]) - sum(self.coeffs[2::4])
+
     def to_json(self) -> list[int]:
         """Coefficient array, index = power of z."""
         return list(self.coeffs)
 
     def __repr__(self) -> str:
         return f"UniPoly({list(self.coeffs)})"
-
-
-# Marker for evaluating an even-power series at a square root of -1.
-GAUSSIAN_UNIT = object()
-
-
-def eval_poly(p: UniPoly, at: Union[int, object]) -> int:
-    """Evaluate p at a signed integer, or at GAUSSIAN_UNIT.
-
-    The GAUSSIAN_UNIT evaluation sends z^2 -> -1, i.e. returns
-    sum_{r even} (-1)^(r/2) * c_r, and requires every odd-power coefficient
-    to vanish (otherwise the value would not be an integer).
-    """
-    if at is GAUSSIAN_UNIT:
-        for r in range(1, len(p.coeffs), 2):
-            if p.coeffs[r]:
-                raise ValueError(
-                    f"gaussian-unit evaluation needs even powers only; z^{r} present")
-        return sum((-1) ** (r // 2) * c for r, c in enumerate(p.coeffs) if r % 2 == 0)
-    return p(at)
 
 
 @dataclass(frozen=True)
@@ -238,10 +233,11 @@ def binomial_power(coeff: int, stride: int, e: int) -> UniPoly:
     return UniPoly(out)
 
 
-def _half_if_square(square: bool, exponent: int, where: str) -> int:
-    """The power of the assigned value: exponent, or half of it for x_r^2."""
-    if not square:
-        return exponent
+def half_exponent(exponent: int, where: str) -> int:
+    """Half the exponent, the power a square root at `where` leaves.
+
+    An odd exponent raises ParityError rather than give a fractional power.
+    """
     if exponent % 2:
         raise ParityError(
             f"square-value substitution at {where} needs an even exponent, "
@@ -260,8 +256,9 @@ def power_sum(ci: CycleIndex, subst: Substitution,
     for term in ci.terms:
         r = term.var_index
         coeff, stride, square = subst[r % 2]
-        e = _half_if_square(square, term.exponent * exponent_factor,
-                            f"x_{r} of I_{ci.order}")
+        e = term.exponent * exponent_factor
+        if square:
+            e = half_exponent(e, f"x_{r} of I_{ci.order}")
         total = total + binomial_power(coeff, stride * r, e).scale(term.weight)
     return total
 
@@ -284,7 +281,9 @@ def paired_power_sum(ci: CycleIndex, subst_x: Substitution,
         cy, ky, square_y = subst_y[r % 2]
         if square != square_y:
             raise ParityError(f"mixed plain/square assignment for x_{r} y_{r}")
-        e = _half_if_square(square, term.exponent, f"x_{r}y_{r} of I_{ci.order}")
+        e = term.exponent
+        if square:
+            e = half_exponent(e, f"x_{r}y_{r} of I_{ci.order}")
         value = binomial_power(cy, ky * r, e) * binomial_power(cx, kx * r, e)
         total = total + value.scale(term.weight)
     return total
@@ -300,13 +299,13 @@ def substitute(ci: CycleIndex, subst: Substitution,
 # Sparse multivariate polynomials over Q
 # ---------------------------------------------------------------------------
 
-# A monomial is a sorted tuple of ((family, index), exponent) with positive
-# exponents; families are the single characters "x" and "y".
-Monomial = tuple[tuple[tuple[str, int], int], ...]
+# A monomial is a sorted tuple of (index, exponent) pairs, meaning the product
+# of x_index^exponent, with positive exponents.
+Monomial = tuple[tuple[int, int], ...]
 
 
 class SymPoly:
-    """Sparse multivariate polynomial with exact rational coefficients."""
+    """Sparse polynomial in x_1, x_2, ... with exact rational coefficients."""
 
     __slots__ = ("terms",)
 
@@ -322,29 +321,14 @@ class SymPoly:
         raise AttributeError("SymPoly is immutable")
 
     @classmethod
-    def zero(cls) -> "SymPoly":
-        return cls()
-
-    @classmethod
     def constant(cls, c) -> "SymPoly":
         return cls({(): Fraction(c)})
-
-    @classmethod
-    def variable(cls, family: str, index: int, exponent: int = 1) -> "SymPoly":
-        if family not in ("x", "y"):
-            raise ValueError(f"unknown variable family {family!r}")
-        if exponent < 1:
-            raise ValueError("variable exponent must be positive")
-        return cls({(((family, index), exponent),): Fraction(1)})
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SymPoly) and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
 
     def __add__(self, other: "SymPoly") -> "SymPoly":
         out = dict(self.terms)
@@ -387,61 +371,35 @@ class SymPoly:
         factor = Fraction(c)
         return SymPoly({m: factor * v for m, v in self.terms.items()})
 
-    def to_json(self) -> list[dict]:
-        records = []
-        for mono in sorted(self.terms):
-            c = self.terms[mono]
-            records.append({
-                "monomial": [[f"{fam}{idx}", e] for (fam, idx), e in mono],
-                "num": c.numerator,
-                "den": c.denominator,
-            })
-        return records
-
     def __repr__(self) -> str:
         if not self.terms:
             return "SymPoly(0)"
         bits = []
         for mono in sorted(self.terms):
             c = self.terms[mono]
-            vars_ = "*".join(f"{fam}{idx}^{e}" if e > 1 else f"{fam}{idx}"
-                             for (fam, idx), e in mono)
+            vars_ = "*".join(f"x{idx}^{e}" if e > 1 else f"x{idx}"
+                             for idx, e in mono)
             bits.append(f"{c}*{vars_}" if vars_ else f"{c}")
         return "SymPoly(" + " + ".join(bits) + ")"
 
 
-ExponentMode = Union[None, str, Callable[[int], Union[None, str]]]
+# rewrite(r, e) turns the term x_r^e into x_t^f as (t, f), or into 0 as None.
+Rewrite = Callable[[int, int], tuple[int, int] | None]
 
 
-def to_sym(ci: CycleIndex, family: str = "x",
-           index_transform: Callable[[int], int | None] | None = None,
-           exponent_transform: ExponentMode = None) -> SymPoly:
-    """Render a cycle index as a formal SymPoly, with argument rewriting.
+def to_sym(ci: CycleIndex, rewrite: Rewrite | None = None) -> SymPoly:
+    """Render a cycle index as a formal SymPoly, each term rewritten.
 
-    index_transform maps each divisor r to the target variable index; returning
-    None substitutes 0 for that variable, dropping the term (the interleaved-
-    zero argument lists).  exponent_transform is None (plain), "square"
-    (x_r -> x_r^2), "sqrt" (x_r -> a square root, realized by halving the even
-    exponent), or a callable choosing a mode per divisor.  A "sqrt" on an odd
-    exponent raises ParityError rather than producing fractional exponents.
+    Without a rewrite every term phi(r)/n * x_r^(n/r) stays as it is.  A
+    rewrite to None substitutes 0 for the term's variable, dropping it (the
+    interleaved-zero argument lists); terms that land on one monomial add up.
     """
-    result = SymPoly.zero()
+    terms: dict[Monomial, Fraction] = {}
     for term in ci.terms:
-        r = term.var_index
-        target = index_transform(r) if index_transform else r
-        if target is None:
-            continue
-        mode = exponent_transform(r) if callable(exponent_transform) else exponent_transform
-        e = term.exponent
-        if mode == "square":
-            e = 2 * e
-        elif mode == "sqrt":
-            if e % 2:
-                raise ParityError(
-                    f"square root of x_{target} appears with odd exponent {e}")
-            e //= 2
-        elif mode is not None:
-            raise ValueError(f"unknown exponent mode {mode!r}")
-        mono = SymPoly.variable(family, target, e)
-        result = result + mono.scale(Fraction(term.weight, ci.order))
-    return result
+        var = (term.var_index, term.exponent)
+        if rewrite is not None:
+            var = rewrite(*var)
+        if var is not None:
+            mono = (var,)
+            terms[mono] = terms.get(mono, 0) + Fraction(term.weight, ci.order)
+    return SymPoly(terms)

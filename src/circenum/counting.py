@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .errors import ConsistencyError, UnsupportedOrderError
-from .algebra import (GAUSSIAN_UNIT, Substitution, UniPoly, cycle_index,
-                      eval_poly, paired_power_sum, power_sum, substitute)
+from .algebra import (Substitution, UniPoly, cycle_index, paired_power_sum,
+                      power_sum, substitute)
 from .numtheory import has_prime_divisor_3_mod_4, is_prime
 
 CLASSES = ("d", "u", "o", "sd", "su", "t")
@@ -197,9 +197,7 @@ def alternating_sum(n: int, klass: str) -> int:
     """Evaluate the class's valency series at -1 (u: at a square root of -1)."""
     _require_class(klass, VALENCY_CLASSES)
     poly = count_by_formula(n, klass).by_valency
-    if klass == "u":
-        return eval_poly(poly, GAUSSIAN_UNIT)
-    return eval_poly(poly, -1)
+    return poly.at_i() if klass == "u" else poly(-1)
 
 
 def oriented_alternating_expected(n: int) -> int:

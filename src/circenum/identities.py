@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import UnsupportedOrderError
-from .algebra import GAUSSIAN_UNIT, UniPoly, cycle_index, eval_poly, to_sym
+from .algebra import UniPoly, cycle_index, half_exponent, to_sym
 from .counting import (CountResult, count_by_formula, even_odd_split,
                        formal_undirected, formula_kind, has_formula, mixed_sd,
                        oriented_alternating_expected, prime_enumerator,
@@ -283,27 +283,27 @@ def _sd_total_or_zero(n: int) -> int:
 
 
 def _check_6_1(n):
-    lhs = eval_poly(count_by_formula(n, "d").by_valency, -1)
+    lhs = count_by_formula(n, "d").by_valency(-1)
     rhs = _sd_total_or_zero(n)
     return str(lhs), str(rhs), lhs == rhs
 
 
 def _check_6_2(n):
-    lhs = eval_poly(count_by_formula(n, "u").by_valency, GAUSSIAN_UNIT)
+    lhs = count_by_formula(n, "u").by_valency.at_i()
     rhs = count_by_formula(n, "su").total
     return str(lhs), str(rhs), lhs == rhs
 
 
 def _check_6_3(n):
-    lhs = eval_poly(count_by_formula(n, "o").by_valency, -1)
+    lhs = count_by_formula(n, "o").by_valency(-1)
     rhs = oriented_alternating_expected(n)
     return str(lhs), str(rhs), lhs == rhs
 
 
 def _check_6_4(p):
-    lhs = 2 * eval_poly(prime_enumerator(p, "d").by_valency, -1)
+    lhs = 2 * prime_enumerator(p, "d").by_valency(-1)
     cu = prime_enumerator(p, "u").by_valency
-    rhs = cu(1) + eval_poly(cu, GAUSSIAN_UNIT)
+    rhs = cu(1) + cu.at_i()
     return str(lhs), str(rhs), lhs == rhs
 
 
@@ -339,41 +339,46 @@ def _positive(m):
     return m >= 1
 
 
+# to_sym rewrites of x_r^e: x_r -> 0 at odd r, then x_r -> x_(r/2) or x_r at
+# even r; or x_r -> sqrt(x_r) at odd r and x_r -> 0 at even r.
+
+def _even_halved(r, e):
+    return None if _odd(r) else (r // 2, e)
+
+
+def _even_only(r, e):
+    return None if _odd(r) else (r, e)
+
+
+def _odd_sqrt(r, e):
+    return (r, half_exponent(e, f"x_{r}")) if _odd(r) else None
+
+
 def _lemma_2_1(m):
     decomp = odd_part_decomposition(m)
     shift = 1 << (decomp.two_exponent + 1)
     lhs = to_sym(cycle_index(2 * m)).scale(2)
-    rhs = (to_sym(cycle_index(m), exponent_transform="square")
-           + to_sym(cycle_index(decomp.odd_part),
-                    index_transform=lambda r: r * shift))
+    rhs = (to_sym(cycle_index(m), lambda r, e: (r, 2 * e))
+           + to_sym(cycle_index(decomp.odd_part), lambda r, e: (r * shift, e)))
     return repr(lhs), repr(rhs), lhs == rhs
 
 
 def _lemma_2_4(m):
-    lhs = to_sym(cycle_index(2 * m),
-                 index_transform=lambda r: None if _odd(r) else r // 2).scale(2)
-    rhs = (to_sym(cycle_index(m))
-           + to_sym(cycle_index(m),
-                    index_transform=lambda r: None if _odd(r) else r))
+    lhs = to_sym(cycle_index(2 * m), _even_halved).scale(2)
+    rhs = to_sym(cycle_index(m)) + to_sym(cycle_index(m), _even_only)
     return repr(lhs), repr(rhs), lhs == rhs
 
 
 def _lemma_2_6(m):
     lhs = to_sym(cycle_index(m))
     rhs = to_sym(cycle_index(2 * m),
-                 index_transform=lambda r: r if _odd(r) else r // 2,
-                 exponent_transform=lambda r: "sqrt" if _odd(r) else None)
+                 lambda r, e: _odd_sqrt(r, e) if _odd(r) else _even_halved(r, e))
     return repr(lhs), repr(rhs), lhs == rhs
 
 
 def _lemma_2_7(m):
-    lhs = to_sym(cycle_index(2 * m),
-                 index_transform=lambda r: None if _odd(r) else r // 2)
-    rhs = (to_sym(cycle_index(2 * m),
-                  index_transform=lambda r: r if _odd(r) else None,
-                  exponent_transform=lambda r: "sqrt" if _odd(r) else None)
-           + to_sym(cycle_index(m),
-                    index_transform=lambda r: None if _odd(r) else r))
+    lhs = to_sym(cycle_index(2 * m), _even_halved)
+    rhs = to_sym(cycle_index(2 * m), _odd_sqrt) + to_sym(cycle_index(m), _even_only)
     return repr(lhs), repr(rhs), lhs == rhs
 
 

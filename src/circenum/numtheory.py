@@ -133,11 +133,10 @@ def nearly_doubled_primes(limit: int) -> list[PrimePair]:
     """All pairs (q, p) of primes with p = 2q - 1 <= limit, sorted by p."""
     if limit < 2:
         raise ValueError(f"nearly_doubled_primes requires limit >= 2, got {limit}")
-    pairs = []
-    for q in range(2, (limit + 1) // 2 + 1):
-        p = 2 * q - 1
-        if p <= limit and is_prime(q) and is_prime(p):
-            pairs.append(PrimePair(q=q, p=p))
+    odd = _primes_below(limit + 1)
+    primes = set(odd)
+    pairs = [PrimePair(q=2, p=3)] if limit >= 3 else []
+    pairs += [PrimePair(q=(p + 1) // 2, p=p) for p in odd if (p + 1) // 2 in primes]
     return pairs
 
 

@@ -272,10 +272,8 @@ def canonical_form(cs: ConnectionSet) -> bytes:
 
 @dataclass
 class _ClassInfo:
-    rep_mask: int          # lex-least member of the lex-least orbit
     valency: int
     orbit_count: int       # multiplier orbits merged into this class
-    set_count: int         # connection sets in the class
     undirected: bool
     oriented: bool
     tournament: bool
@@ -286,15 +284,12 @@ class _Survey:
     """All isomorphism classes of one order, with per-class predicates."""
 
     def __init__(self, n: int, undirected_only: bool = False):
-        self.n = n
-        self.undirected_only = undirected_only
         units = _units(n)
         masks = self._eligible_masks(n, undirected_only)
         # multiplier orbits; each keeps its lexicographically least member.
         # The units form a group, so one pass over them reaches the orbit.
         orbit_of: dict[int, int] = {}
         orbit_reps: list[int] = []
-        orbit_sizes: list[int] = []
         for mask in masks:
             if mask in orbit_of:
                 continue
@@ -307,10 +302,8 @@ class _Survey:
                 orbit.add(new)
             idx = len(orbit_reps)
             orbit_reps.append(min(orbit, key=_set_sort_key))
-            orbit_sizes.append(len(orbit))
             for member in orbit:
                 orbit_of[member] = idx
-        self.orbit_of = orbit_of
         self.orbit_reps = orbit_reps
         certs = [canonical_form(ConnectionSet.from_mask(n, rep)) for rep in orbit_reps]
         self.cert_of_orbit = certs
@@ -328,10 +321,8 @@ class _Survey:
             comp_mask = full & ~rep
             self_comp = certs[orbit_of[comp_mask]] == cert
             info = _ClassInfo(
-                rep_mask=rep,
                 valency=cs.valency,
                 orbit_count=len(orbit_ids),
-                set_count=sum(orbit_sizes[i] for i in orbit_ids),
                 undirected=cs.is_undirected(),
                 oriented=cs.is_oriented(),
                 tournament=cs.is_tournament(),

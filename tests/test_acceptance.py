@@ -13,7 +13,6 @@ values are pinned by an xfail test in test_oracle.py.
 import time
 from contextlib import contextmanager
 
-from circenum.algebra import GAUSSIAN_UNIT, eval_poly
 from circenum.counting import (alternating_sum, count_by_formula, formula_kind,
                                log_concavity_probe, mixed_sd,
                                oriented_alternating_expected, prime_enumerator,
@@ -147,7 +146,7 @@ def test_criterion_7_alternating_sums():
             else:
                 assert alternating_sum(n, "d") == count_by_formula(n, "sd").total, n
                 poly = count_by_formula(n, "u").by_valency
-                assert eval_poly(poly, GAUSSIAN_UNIT) == \
+                assert poly.at_i() == \
                     count_by_formula(n, "su").total, n
             oriented = alternating_sum(n, "o")
             assert oriented in (0, 1), n

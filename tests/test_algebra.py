@@ -2,9 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from circenum.algebra import (GAUSSIAN_UNIT, SymPoly, UniPoly, binomial_power,
-                              cycle_index, eval_poly, paired_power_sum,
-                              substitute, to_sym)
+from circenum.algebra import (SymPoly, UniPoly, binomial_power, cycle_index,
+                              half_exponent, paired_power_sum, substitute,
+                              to_sym)
 from circenum.errors import InexactDivisionError, ParityError
 from circenum.numtheory import divisors, euler_phi
 
@@ -160,37 +160,38 @@ def test_paired_power_sum_rejects_mixed_assignments():
         paired_power_sum(cycle_index(2), constant(2), square_two)
 
 
-# --- eval_poly ---------------------------------------------------------------
+# --- series evaluation ---------------------------------------------------------
 
 def test_eval_poly_at_minus_one():
-    assert eval_poly(UniPoly([1, 2, 3]), -1) == 2
-    assert eval_poly(UniPoly(), -1) == 0
+    assert UniPoly([1, 2, 3])(-1) == 2
+    assert UniPoly()(-1) == 0
 
 
 def test_eval_poly_gaussian_unit():
     # 1 - 1 + 3 - 4 + 3 - 1 + 1 over even powers
     p = UniPoly([1, 0, 1, 0, 3, 0, 4, 0, 3, 0, 1, 0, 1])
-    assert eval_poly(p, GAUSSIAN_UNIT) == 2
+    assert p.at_i() == 2
+    assert UniPoly().at_i() == 0
+    assert UniPoly.constant(-7).at_i() == -7
     with pytest.raises(ValueError):
-        eval_poly(UniPoly([1, 1]), GAUSSIAN_UNIT)
+        UniPoly([1, 1]).at_i()
+    with pytest.raises(ValueError):
+        UniPoly([0, 0, 0, 5]).at_i()
 
 
 # --- SymPoly ------------------------------------------------------------------
 
 def x(i, e=1):
-    return SymPoly.variable("x", i, e)
-
-
-def y(i, e=1):
-    return SymPoly.variable("y", i, e)
+    return SymPoly({((i, e),): Fraction(1)})
 
 
 def test_sympoly_identities():
     a = x(1).scale(Fraction(1, 2)) + x(2, 3)
-    assert a + SymPoly.zero() == a
+    assert a + SymPoly() == a
     assert x(1).scale(Fraction(1, 2)).scale(2) == x(1)
-    assert x(1) * y(1) == SymPoly({((("x", 1), 1), (("y", 1), 1)): Fraction(1)})
+    assert x(1) * x(2) == SymPoly({((1, 1), (2, 1)): Fraction(1)})
     assert (x(1) + x(2)) * (x(1) - x(2)) == x(1, 2) - x(2, 2)
+    assert (x(1) + x(2)) ** 2 == x(1, 2) + x(1) * x(2) * SymPoly.constant(2) + x(2, 2)
 
 
 def test_sympoly_cancellation():
@@ -198,21 +199,26 @@ def test_sympoly_cancellation():
     assert not (x(3) - x(3, 2)).is_zero()
 
 
+def test_sympoly_repr():
+    assert repr(SymPoly()) == "SymPoly(0)"
+    p = x(2, 3).scale(Fraction(-1, 2)) + x(1) * x(4, 2) + SymPoly.constant(3)
+    assert repr(p) == "SymPoly(3 + 1*x1*x4^2 + -1/2*x2^3)"
+
+
 def test_sympoly_congruence_randomized():
     import random
     rng = random.Random(20260808)
     for _ in range(50):
         def rand_poly():
-            p = SymPoly.zero()
+            p = SymPoly()
             for _ in range(rng.randrange(1, 4)):
-                p = p + SymPoly.variable(
-                    rng.choice("xy"), rng.randrange(1, 4),
-                    rng.randrange(1, 3)).scale(Fraction(rng.randrange(-3, 4)))
+                p = p + x(rng.randrange(1, 7), rng.randrange(1, 3)).scale(
+                    Fraction(rng.randrange(-3, 4)))
             return p
         a = rand_poly()
         c = rand_poly()
-        b = a + SymPoly.zero()
-        d = c + SymPoly.zero()
+        b = a + SymPoly()
+        d = c + SymPoly()
         assert a == b and c == d
         assert a + c == b + d
         assert a * c == b * d
@@ -226,14 +232,14 @@ def test_to_sym_plain():
 
 
 def test_to_sym_square():
-    got = to_sym(cycle_index(2), exponent_transform="square")
+    got = to_sym(cycle_index(2), lambda r, e: (r, 2 * e))
     want = x(1, 4).scale(Fraction(1, 2)) + x(2, 2).scale(Fraction(1, 2))
     assert got == want
 
 
 def test_to_sym_index_shift():
     # I_3 with r -> 4r: (1/3) x_4^3 + (2/3) x_12
-    got = to_sym(cycle_index(3), index_transform=lambda r: 4 * r)
+    got = to_sym(cycle_index(3), lambda r, e: (4 * r, e))
     want = x(4, 3).scale(Fraction(1, 3)) + x(12).scale(Fraction(2, 3))
     assert got == want
 
@@ -241,29 +247,26 @@ def test_to_sym_index_shift():
 def test_to_sym_sqrt_parity_error():
     with pytest.raises(ParityError):
         # I_3 has the term x_3^1: odd exponent cannot be halved
-        to_sym(cycle_index(3), exponent_transform="sqrt")
+        to_sym(cycle_index(3), lambda r, e: (r, half_exponent(e, f"x_{r}")))
+    # I_4 = (1/4) x_1^4 + (1/4) x_2^2 + (1/2) x_4: only x_4^1 is odd
+    got = to_sym(cycle_index(4),
+                 lambda r, e: (r, half_exponent(e, f"x_{r}")) if r < 4 else None)
+    assert got == x(1, 2).scale(Fraction(1, 4)) + x(2).scale(Fraction(1, 4))
 
 
 def test_to_sym_interleaved_zeros():
     # dropping odd indices of I_2 leaves only (1/2) x_1 (from r = 2)
     got = to_sym(cycle_index(2),
-                 index_transform=lambda r: None if r % 2 else r // 2)
+                 lambda r, e: None if r % 2 else (r // 2, e))
     assert got == x(1).scale(Fraction(1, 2))
 
 
-def test_to_sym_y_family():
-    got = to_sym(cycle_index(1), family="y")
-    assert got == y(1)
+def test_to_sym_merges_terms_on_one_monomial():
+    # every term of I_6 sent to x_1: the weights phi(r)/6 sum to 1
+    assert to_sym(cycle_index(6), lambda r, e: (1, 1)) == x(1)
 
 
 # --- serialization ------------------------------------------------------------
 
 def test_unipoly_json():
     assert UniPoly([1, 0, 2]).to_json() == [1, 0, 2]
-
-
-def test_sympoly_json():
-    p = x(2, 3).scale(Fraction(-1, 2)) + y(1)
-    records = p.to_json()
-    assert {"monomial": [["x2", 3]], "num": -1, "den": 2} in records
-    assert {"monomial": [["y1", 1]], "num": 1, "den": 1} in records

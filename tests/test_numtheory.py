@@ -95,6 +95,18 @@ def test_nearly_doubled_primes_trivial_limit():
     assert nearly_doubled_primes(2) == []
 
 
+def _reference_nearly_doubled(limit):
+    # one is_prime per candidate q and p, kept independent of the sieve
+    return [(q, 2 * q - 1) for q in range(2, (limit + 1) // 2 + 1)
+            if is_prime(q) and is_prime(2 * q - 1)]
+
+
+@pytest.mark.parametrize("limit", [2, 3, 4, 5, 1000, 100_000])
+def test_nearly_doubled_primes_match_reference_loop(limit):
+    got = [(pair.q, pair.p) for pair in nearly_doubled_primes(limit)]
+    assert got == _reference_nearly_doubled(limit)
+
+
 @pytest.mark.parametrize("ptilde,kmax,expected", [
     (3, 50, [1, 5]),
     (9, 50, [1, 2, 6, 42]),
