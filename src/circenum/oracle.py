@@ -12,6 +12,11 @@ The canonical labeler is a self-contained individualization-refinement
 search over vertex partitions: refine to the coarsest stable partition using
 out/in neighbour counts per cell, branch on the smallest non-singleton cell,
 and take the lexicographically least adjacency encoding over all leaves.
+Refinement counts only against fresh cells: [v] after individualizing v,
+then every fragment of a split but the last.  The counts against the other
+cells are constant within each cell or follow from earlier fresh counts (the
+last fragment's is its parent's minus its siblings'), so the buckets, their
+sorted order and every certificate are those of a full recount.
 Automorphisms discovered at equal-encoding leaves (plus any known a priori,
 e.g. the rotation of a circulant) prune branches that cannot change the
 minimum.  Each open search node keeps the known automorphisms that fix its
@@ -101,35 +106,49 @@ def _adjacency(n: int, members) -> list[int]:
     return out_adj
 
 
-def _refine(n: int, out_adj, in_adj, cells):
+def _refine(n: int, out_adj, in_adj, cells, fresh):
     """Coarsest stable refinement of an ordered partition.
 
     Cell order stays isomorphism-invariant: sub-cells replace their parent in
     the order of their (sorted) neighbour-count signatures.
+
+    A pass counts out- and in-neighbours only against the cells indexed by
+    fresh, in cell order.  The caller passes (0,) for the one-cell root, and
+    the index of [v] after individualizing v out of a stable partition: the
+    count against the rest of v's old cell is the count against that cell,
+    which every cell agrees on, minus the count against [v].  A pass that
+    splits a cell makes every fragment but the last fresh for the next pass;
+    the last one's count is the parent cell's uniform count minus the
+    others'.  So every dropped coordinate is constant within a cell or fixed
+    by coordinates earlier in cell order, and the fresh ones alone give the
+    same buckets in the same sorted order as counting against every cell.
+    A pass with no split leaves fresh empty and ends the loop.  Signatures
+    pack the counts into one integer, width bits each, in that order.
     """
-    cells = [list(c) for c in cells]
-    while True:
-        masks = [sum(1 << v for v in c) for c in cells]
-        changed = False
+    width = n.bit_length()
+    while fresh:
+        masks = [sum(1 << v for v in cells[i]) for i in fresh]
+        fresh = []
         new_cells = []
         for cell in cells:
             if len(cell) == 1:
                 new_cells.append(cell)
                 continue
-            buckets: dict[tuple, list[int]] = {}
+            buckets: dict[int, list[int]] = {}
             for v in cell:
-                sig = tuple(((out_adj[v] & m).bit_count(), (in_adj[v] & m).bit_count())
-                            for m in masks)
+                out_row, in_row = out_adj[v], in_adj[v]
+                sig = 0
+                for m in masks:
+                    sig = ((sig << width | (out_row & m).bit_count()) << width
+                           | (in_row & m).bit_count())
                 buckets.setdefault(sig, []).append(v)
             if len(buckets) == 1:
                 new_cells.append(cell)
-            else:
-                changed = True
-                for sig in sorted(buckets):
-                    new_cells.append(buckets[sig])
+                continue
+            fresh.extend(range(len(new_cells), len(new_cells) + len(buckets) - 1))
+            new_cells.extend(buckets[sig] for sig in sorted(buckets))
         cells = new_cells
-        if not changed:
-            return cells
+    return cells
 
 
 def digraph_certificate(out_adj: list[int], known_automorphisms=()) -> int:
@@ -198,12 +217,12 @@ def digraph_certificate(out_adj: list[int], known_automorphisms=()) -> int:
                 continue
             rest = [w for w in cell if w != v]
             sub = cells[:target] + [[v], rest] + cells[target + 1:]
-            search(_refine(n, out_adj, in_adj, sub), fixed + (v,),
+            search(_refine(n, out_adj, in_adj, sub, (target,)), fixed + (v,),
                    [g for g in node.stab if g[v] == v])
             explored.append(v)
         path.pop()
 
-    search(_refine(n, out_adj, in_adj, [list(range(n))]), (),
+    search(_refine(n, out_adj, in_adj, [list(range(n))], (0,)), (),
            [tuple(g) for g in known_automorphisms])
     return best_enc[0]
 

@@ -7,9 +7,10 @@ import pytest
 from circenum.counting import (count_by_formula, formula_kind,
                                oriented_alternating_expected)
 from circenum.errors import UnsupportedOrderError
-from circenum.oracle import (ConnectionSet, canonical_form, cayley_classes,
-                             classify_self_complementary, digraph_certificate,
-                             enumerate_circulants, non_ci_count)
+from circenum.oracle import (ConnectionSet, _adjacency, _refine, canonical_form,
+                             cayley_classes, classify_self_complementary,
+                             digraph_certificate, enumerate_circulants,
+                             non_ci_count)
 
 from golden import (COLUMN_CLASSES, ORIENTED_CORRECTIONS,
                     ORIENTED_MISPRINTS_AT_CI_ORDERS, TABLE1)
@@ -52,13 +53,23 @@ def test_canonical_form_empty_vs_full():
         assert empty != full
 
 
-def _random_digraph(rng, n):
+def _random_digraph(rng, n, density=0.4):
     out = [0] * n
     for u in range(n):
         for v in range(n):
-            if u != v and rng.random() < 0.4:
+            if u != v and rng.random() < density:
                 out[u] |= 1 << v
     return out
+
+
+def _in_adjacency(out):
+    n = len(out)
+    res = [0] * n
+    for u in range(n):
+        for v in range(n):
+            if (out[u] >> v) & 1:
+                res[v] |= 1 << u
+    return res
 
 
 def _permute(out, perm):
@@ -121,17 +132,101 @@ def test_certificate_digest_unchanged():
         "64f43beb68866a21b912bf2884eabfec89bb493537dd0c2caebbdfb6956c003f"
 
 
+def test_random_digraph_certificate_digest_unchanged():
+    """Pin of the labeler beyond circulants: SHA-256 over the certificates of
+    3,000 seeded random digraphs (n = 1..12, arc densities 0.15 to 0.85),
+    computed by the labeler that refined by recounting against every cell."""
+    rng = random.Random(20_141_001)
+    certs = []
+    for n in range(1, 13):
+        for density in (0.15, 0.35, 0.5, 0.65, 0.85):
+            for _ in range(50):
+                enc = digraph_certificate(_random_digraph(rng, n, density))
+                certs.append(bytes([n]) + enc.to_bytes((n * n + 7) // 8, "big"))
+    assert hashlib.sha256(b"".join(certs)).hexdigest() == \
+        "1714670feee7ebbef46ffbfa46a9463e6c799a6dc9f87a2777ae1c74e4df6a9c"
+
+
+def test_workload_order_certificate_digest_unchanged():
+    """SHA-256 over every orbit certificate of the directed surveys
+    n = 13..15 and the undirected surveys n = 21..22 (4,540 certificates),
+    the orders the benchmark's oracle workload runs, computed by the labeler
+    that refined by recounting against every cell."""
+    from circenum.oracle import _survey
+    surveys = ([_survey(n, False) for n in range(13, 16)]
+               + [_survey(n, True) for n in range(21, 23)])
+    certs = [cert for survey in surveys for cert in survey.cert_of_orbit]
+    assert len(certs) == 4540
+    assert hashlib.sha256(b"".join(certs)).hexdigest() == \
+        "52b530f6ebdd5a759df35367c66e12ed0a054d81603943f4f9fdbffd0831d492"
+
+
+def _full_recount_refine(out_adj, in_adj, cells):
+    """Reference refinement: every pass counts every vertex's neighbours
+    against every cell of the partition."""
+    cells = [list(c) for c in cells]
+    while True:
+        masks = [sum(1 << v for v in c) for c in cells]
+        changed = False
+        new_cells = []
+        for cell in cells:
+            if len(cell) == 1:
+                new_cells.append(cell)
+                continue
+            buckets = {}
+            for v in cell:
+                sig = tuple(((out_adj[v] & m).bit_count(), (in_adj[v] & m).bit_count())
+                            for m in masks)
+                buckets.setdefault(sig, []).append(v)
+            if len(buckets) == 1:
+                new_cells.append(cell)
+            else:
+                changed = True
+                for sig in sorted(buckets):
+                    new_cells.append(buckets[sig])
+        cells = new_cells
+        if not changed:
+            return cells
+
+
+def _individualizations(cells):
+    """(index of [v], partition) for every v of every non-singleton cell."""
+    for t, cell in enumerate(cells):
+        if len(cell) > 1:
+            for v in cell:
+                yield t, cells[:t] + [[v], [w for w in cell if w != v]] + cells[t + 1:]
+
+
+def test_refine_matches_full_recount():
+    # random digraphs are rarely vertex-transitive, so their root partitions
+    # split into many fragments; circulants split only after individualizing
+    rng = random.Random(8_000_001)
+    graphs = []
+    for n in range(1, 13):
+        for density in (0.1, 0.2, 0.35, 0.5, 0.65, 0.8, 0.9):
+            graphs += [_random_digraph(rng, n, density) for _ in range(8)]
+        for _ in range(5):
+            graphs.append(_adjacency(n, [s for s in range(1, n) if rng.random() < 0.5]))
+    split_roots = individualized = 0
+    for out in graphs:
+        n = len(out)
+        in_adj = _in_adjacency(out)
+        root = _refine(n, out, in_adj, [list(range(n))], (0,))
+        assert root == _full_recount_refine(out, in_adj, [list(range(n))])
+        split_roots += 2 < len(root)
+        for t, sub in _individualizations(root):
+            one = _refine(n, out, in_adj, sub, (t,))
+            assert one == _full_recount_refine(out, in_adj, sub)
+            for t2, sub2 in _individualizations(one):
+                assert (_refine(n, out, in_adj, sub2, (t2,))
+                        == _full_recount_refine(out, in_adj, sub2))
+                individualized += 1
+    assert split_roots > 100 and individualized > 1000
+
+
 def _backtracking_isomorphic(n, a, b):
     """Reference decider: extend a vertex bijection arc-consistently."""
-    def in_masks(adj):
-        res = [0] * n
-        for u in range(n):
-            for v in range(n):
-                if (adj[u] >> v) & 1:
-                    res[v] |= 1 << u
-        return res
-
-    a_in, b_in = in_masks(a), in_masks(b)
+    a_in, b_in = _in_adjacency(a), _in_adjacency(b)
     perm = [-1] * n
     used = [False] * n
 
