@@ -17,10 +17,16 @@ t (tournament).  Formulas exist for three order shapes:
 d, u, o admit generating polynomials by valency; sd, su, t are bare totals.
 Every division is performed exactly over the integers, so any transcription
 slip surfaces as an InexactDivisionError instead of a silently wrong count.
+
+count_by_formula is the one dispatch from an order to its enumerator.
+Inside an order_memo() scope it computes each (order, class) once; outside
+one it always computes.
 """
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from math import isqrt
 
@@ -177,8 +183,30 @@ def has_formula(order: int, klass: str) -> bool:
     return kind is not None and (kind[0] != "twice_prime" or klass in VALENCY_CLASSES)
 
 
+# memo: (order, class) -> CountResult while this thread is in an order_memo()
+_scope = threading.local()
+
+
+@contextmanager
+def order_memo():
+    """Compute each count_by_formula(order, klass) once within this scope.
+
+    The enumerators are pure and a CountResult is frozen, so a hit equals a
+    recomputation.  The memo is dropped when the scope exits, raising or not.
+    """
+    outer = getattr(_scope, "memo", None)
+    _scope.memo = {}
+    try:
+        yield
+    finally:
+        _scope.memo = outer
+
+
 def count_by_formula(order: int, klass: str) -> CountResult:
     """Dispatch to whichever closed form covers the order, else raise."""
+    memo = getattr(_scope, "memo", None)
+    if memo is not None and (order, klass) in memo:
+        return memo[order, klass]
     _require_class(klass)
     kind = formula_kind(order)
     if kind is None:
@@ -187,10 +215,14 @@ def count_by_formula(order: int, klass: str) -> CountResult:
         raise UnsupportedOrderError(f"no order-2p formula for class {klass!r}")
     shape, p = kind
     if shape == "prime":
-        return prime_enumerator(p, klass)
-    if shape == "twice_prime":
-        return twice_prime_enumerator(p, klass)
-    return prime_squared_enumerator(p, klass)
+        result = prime_enumerator(p, klass)
+    elif shape == "twice_prime":
+        result = twice_prime_enumerator(p, klass)
+    else:
+        result = prime_squared_enumerator(p, klass)
+    if memo is not None:
+        memo[order, klass] = result
+    return result
 
 
 def alternating_sum(n: int, klass: str) -> int:
@@ -241,9 +273,9 @@ def mixed_sd(p: int) -> int:
     Identities 5.3 and 5.5 compare it with its two other forms,
     2*C_su(p)*C_t(p) and C_sd(p)^2 - C_su(p)^2 - C_t(p)^2.
     """
-    return (prime_squared_enumerator(p, "sd").total
-            - prime_squared_enumerator(p, "su").total
-            - prime_squared_enumerator(p, "t").total)
+    return (count_by_formula(p * p, "sd").total
+            - count_by_formula(p * p, "su").total
+            - count_by_formula(p * p, "t").total)
 
 
 def log_concavity_probe(order: int,

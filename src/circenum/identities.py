@@ -2,9 +2,12 @@
 
 Every identity has a key (the registry id used on the command line), an
 applicability predicate expressing its hypotheses, and a checker that
-recomputes BOTH sides from the closed-form enumerators (never reusing one
-side's intermediates for the other, so the identities remain a genuine test
-of the formulas).  Orders that counting.has_formula does not cover fall back
+recomputes BOTH sides through counting.count_by_formula, never one side from
+the other's intermediates, so the identities remain a genuine test of the
+formulas.  verify_range runs the checks at each order in one order_memo()
+scope, which sits in front of the enumerator calls: a hit there is the frozen
+CountResult a pure function would recompute, and the memo holds one order's
+results at most.  Orders that counting.has_formula does not cover fall back
 to the exhaustive oracle where desk-scale allows (order 2, and optionally
 small orders).
 
@@ -23,8 +26,7 @@ from .errors import UnsupportedOrderError
 from .algebra import UniPoly, cycle_index, half_exponent, to_sym
 from .counting import (CountResult, count_by_formula, even_odd_split,
                        formal_undirected, formula_kind, has_formula, mixed_sd,
-                       oriented_alternating_expected, prime_enumerator,
-                       prime_squared_enumerator, twice_prime_enumerator)
+                       order_memo, oriented_alternating_expected)
 from .numtheory import (has_prime_divisor_3_mod_4, is_prime,
                         odd_part_decomposition)
 from . import oracle
@@ -37,6 +39,8 @@ class IdentityReport:
     status: str   # "holds" | "fails" | "not-applicable"
     lhs: str
     rhs: str
+    # seconds in check(); in a sweep the first check at an order also pays
+    # for the enumerator results the later checks there reuse
     elapsed: float
 
     def to_json(self) -> dict:
@@ -86,36 +90,34 @@ def _ptilde_and_k(p: int) -> tuple[int, int]:
 
 def _check_3_1(p):
     q = (p + 1) // 2
-    lhs = prime_enumerator(p, "u").by_valency
+    lhs = count_by_formula(p, "u").by_valency
     rhs = _count(q, "d").by_valency.stretch(2)
     return _poly_str(lhs), _poly_str(rhs), lhs == rhs
 
 
 def _check_3_1p(p):
     q = (p + 1) // 2
-    lhs = prime_enumerator(p, "u").total
+    lhs = count_by_formula(p, "u").total
     rhs = _count(q, "d").total
     return str(lhs), str(rhs), lhs == rhs
 
 
 def _check_3_2(p):
     q = (p + 1) // 2
-    lhs = prime_enumerator(p, "su").total
+    lhs = count_by_formula(p, "su").total
     rhs = _count(q, "sd").total
     return str(lhs), str(rhs), lhs == rhs
 
 
 def _check_3_3(p):
-    q = (p + 1) // 2
-    lhs = prime_enumerator(p, "o").by_valency.scale(2)
-    rhs = twice_prime_enumerator(q, "o").by_valency + UniPoly.constant(1)
+    lhs = count_by_formula(p, "o").by_valency.scale(2)
+    rhs = count_by_formula(p + 1, "o").by_valency + UniPoly.constant(1)
     return _poly_str(lhs), _poly_str(rhs), lhs == rhs
 
 
 def _check_3_3p(p):
-    q = (p + 1) // 2
-    lhs = 2 * prime_enumerator(p, "o").total
-    rhs = twice_prime_enumerator(q, "o").total + 1
+    lhs = 2 * count_by_formula(p, "o").total
+    rhs = count_by_formula(p + 1, "o").total + 1
     return str(lhs), str(rhs), lhs == rhs
 
 
@@ -132,14 +134,14 @@ def _check_3_5(n):
 
 def _check_3_6(p):
     q = (p + 1) // 2
-    lhs = prime_enumerator(p, "su").total
-    rhs = prime_enumerator(q, "t").total
+    lhs = count_by_formula(p, "su").total
+    rhs = count_by_formula(q, "t").total
     return str(lhs), str(rhs), lhs == rhs
 
 
 def _check_3_7(p):
-    lhs = prime_enumerator(p, "sd").total
-    rhs = prime_enumerator(p, "t").total + prime_enumerator(p, "su").total
+    lhs = count_by_formula(p, "sd").total
+    rhs = count_by_formula(p, "t").total + count_by_formula(p, "su").total
     return str(lhs), str(rhs), lhs == rhs
 
 
@@ -151,49 +153,46 @@ def _check_3_8(n):
 
 
 def _check_4_1(p):
-    lhs = 2 * prime_enumerator(p, "sd").total
-    rhs = prime_enumerator(p, "u").total + prime_enumerator(p, "su").total
+    lhs = 2 * count_by_formula(p, "sd").total
+    rhs = count_by_formula(p, "u").total + count_by_formula(p, "su").total
     return str(lhs), str(rhs), lhs == rhs
 
 
 def _check_4_1p(p):
-    cu = prime_enumerator(p, "u").total
-    sd2 = 2 * prime_enumerator(p, "sd").total
-    t2 = 2 * prime_enumerator(p, "t").total
+    cu = count_by_formula(p, "u").total
+    sd2 = 2 * count_by_formula(p, "sd").total
+    t2 = 2 * count_by_formula(p, "t").total
     return str(cu), f"{sd2} = {t2}", cu == sd2 == t2
 
 
 def _check_4_1pp(p):
-    cu = prime_enumerator(p, "u").total
-    a = prime_enumerator(p, "sd").total + prime_enumerator(p, "t").total
-    b = prime_enumerator(p, "su").total + 2 * prime_enumerator(p, "t").total
+    cu = count_by_formula(p, "u").total
+    a = count_by_formula(p, "sd").total + count_by_formula(p, "t").total
+    b = count_by_formula(p, "su").total + 2 * count_by_formula(p, "t").total
     return str(cu), f"{a} = {b}", cu == a == b
 
 
 def _check_4_2(p, klass):
     """4.2 (klass u) and its directed twin 4.4 (klass d)."""
-    q = (p + 1) // 2
     ptilde, _ = _ptilde_and_k(p)
-    lhs = 4 * prime_enumerator(p, klass).total
-    rhs = twice_prime_enumerator(q, klass).total + 2 * formal_undirected(2 * ptilde + 1)(1)
+    lhs = 4 * count_by_formula(p, klass).total
+    rhs = count_by_formula(p + 1, klass).total + 2 * formal_undirected(2 * ptilde + 1)(1)
     return str(lhs), str(rhs), lhs == rhs
 
 
 def _check_4_3(p, klass):
     """4.3 (klass u) and its directed twin 4.5 (klass d)."""
-    q = (p + 1) // 2
     ptilde, k = _ptilde_and_k(p)
-    lhs = prime_enumerator(p, klass).by_valency.scale(2)
-    quotient = twice_prime_enumerator(q, klass).by_valency.divide_exact_poly(
+    lhs = count_by_formula(p, klass).by_valency.scale(2)
+    quotient = count_by_formula(p + 1, klass).by_valency.divide_exact_poly(
         UniPoly.one_plus(1))
     rhs = quotient + formal_undirected(2 * ptilde + 1).stretch(1 << k)
     return _poly_str(lhs), _poly_str(rhs), lhs == rhs
 
 
 def _check_4_3p(p):
-    q = (p + 1) // 2
-    cu_p = prime_enumerator(p, "u").by_valency
-    cu_2q = twice_prime_enumerator(q, "u").by_valency
+    cu_p = count_by_formula(p, "u").by_valency
+    cu_2q = count_by_formula(p + 1, "u").by_valency
     top = max(cu_p.degree, cu_2q.degree)
     lhs = [2 * cu_p.coeff(r) for r in range(2, top + 1, 4)]
     rhs = [cu_2q.coeff(r) for r in range(2, top + 1, 4)]
@@ -201,17 +200,15 @@ def _check_4_3p(p):
 
 
 def _check_4_6(p):
-    q = (p + 1) // 2
-    lhs = 4 * prime_enumerator(p, "d").total - twice_prime_enumerator(q, "d").total
-    rhs = 4 * prime_enumerator(p, "u").total - twice_prime_enumerator(q, "u").total
+    lhs = 4 * count_by_formula(p, "d").total - count_by_formula(p + 1, "d").total
+    rhs = 4 * count_by_formula(p, "u").total - count_by_formula(p + 1, "u").total
     return str(lhs), str(rhs), lhs == rhs
 
 
 def _check_4_6p(p):
-    q = (p + 1) // 2
-    lhs = 4 * (prime_enumerator(p, "d").total - prime_enumerator(p, "u").total)
-    rhs = (twice_prime_enumerator(q, "d").total
-           - twice_prime_enumerator(q, "u").total)
+    lhs = 4 * (count_by_formula(p, "d").total - count_by_formula(p, "u").total)
+    rhs = (count_by_formula(p + 1, "d").total
+           - count_by_formula(p + 1, "u").total)
     return str(lhs), str(rhs), lhs == rhs
 
 
@@ -237,14 +234,14 @@ def _check_4_7p(p):
 def _check_5_2(n):
     p = _odd_prime_square(n)
     lhs = tuple(oracle.non_ci_count(n, klass)[0] for klass in ("sd", "su", "t"))
-    rhs = tuple(prime_enumerator(p, klass).total ** 2 for klass in ("sd", "su", "t"))
+    rhs = tuple(count_by_formula(p, klass).total ** 2 for klass in ("sd", "su", "t"))
     return str(lhs), str(rhs), lhs == rhs
 
 
 def _check_5_3(n):
     p = _odd_prime_square(n)
     lhs = mixed_sd(p)
-    rhs = 2 * prime_enumerator(p, "su").total * prime_enumerator(p, "t").total
+    rhs = 2 * count_by_formula(p, "su").total * count_by_formula(p, "t").total
     return str(lhs), str(rhs), lhs == rhs
 
 
@@ -259,18 +256,18 @@ def _check_5_4(n):
 def _check_5_5(n):
     p = _odd_prime_square(n)
     lhs = mixed_sd(p)
-    rhs = (prime_enumerator(p, "sd").total ** 2
-           - prime_enumerator(p, "su").total ** 2
-           - prime_enumerator(p, "t").total ** 2)
+    rhs = (count_by_formula(p, "sd").total ** 2
+           - count_by_formula(p, "su").total ** 2
+           - count_by_formula(p, "t").total ** 2)
     return str(lhs), str(rhs), lhs == rhs
 
 
 def _check_5_6(n):
     p = _odd_prime_square(n)
-    lhs = prime_squared_enumerator(p, "sd").total
-    rhs = (prime_squared_enumerator(p, "su").total
-           + prime_squared_enumerator(p, "t").total
-           + 2 * prime_enumerator(p, "su").total * prime_enumerator(p, "t").total)
+    lhs = count_by_formula(n, "sd").total
+    rhs = (count_by_formula(n, "su").total
+           + count_by_formula(n, "t").total
+           + 2 * count_by_formula(p, "su").total * count_by_formula(p, "t").total)
     return str(lhs), str(rhs), lhs == rhs
 
 
@@ -301,8 +298,8 @@ def _check_6_3(n):
 
 
 def _check_6_4(p):
-    lhs = 2 * prime_enumerator(p, "d").by_valency(-1)
-    cu = prime_enumerator(p, "u").by_valency
+    lhs = 2 * count_by_formula(p, "d").by_valency(-1)
+    cu = count_by_formula(p, "u").by_valency
     rhs = cu(1) + cu.at_i()
     return str(lhs), str(rhs), lhs == rhs
 
@@ -325,7 +322,7 @@ def _check_6_6(n):
 
 def _check_6_7(p):
     even, _ = even_odd_split(p, "u")
-    rhs = prime_enumerator(p, "sd").total
+    rhs = count_by_formula(p, "sd").total
     return str(even), str(rhs), even == rhs
 
 
@@ -532,18 +529,19 @@ def verify_range(keys=None, order_bound: int = 100, lemma_bound: int = 64,
                  allow_oracle: bool = False) -> list[IdentityReport]:
     """Check every requested identity at every evaluable order up to the bound.
 
-    Lemma keys are instantiated for all m <= lemma_bound.  Reports come back
-    in deterministic (key, order) order; any 'fails' among them is the
-    caller's cue for a nonzero exit.
+    Lemma keys are instantiated for all m <= lemma_bound.  A repeated key
+    runs once.  The sweep is order-major, each order inside its own
+    order_memo() scope; reports come back in deterministic (key, order)
+    order.  Any 'fails' among them is the caller's cue for a nonzero exit.
     """
-    if keys is None:
-        keys = IDENTITY_KEYS
-    reports = []
-    for key in keys:
-        ident = _identity(key)
-        orders = (range(1, lemma_bound + 1) if key in LEMMA_KEYS
-                  else range(2, order_bound + 1))
-        for n in orders:
-            if ident.applies(n) and ident.evaluable(n, allow_oracle):
-                reports.append(check(key, n, allow_oracle))
-    return reports
+    idents = {key: _identity(key) for key in (IDENTITY_KEYS if keys is None else keys)}
+    orders = {key: range(1, lemma_bound + 1) if key in LEMMA_KEYS
+              else range(2, order_bound + 1) for key in idents}
+    by_key: dict[str, list[IdentityReport]] = {key: [] for key in idents}
+    for n in range(1, max(order_bound, lemma_bound) + 1):
+        with order_memo():
+            for key, ident in idents.items():
+                if (n in orders[key] and ident.applies(n)
+                        and ident.evaluable(n, allow_oracle)):
+                    by_key[key].append(check(key, n, allow_oracle))
+    return [report for reports in by_key.values() for report in reports]

@@ -105,6 +105,17 @@ def test_verify_lemma(capsys):
     assert code == 0 and "64 hold" in out
 
 
+def test_verify_repeated_key_runs_once(capsys):
+    argv = ("verify", "--identity", "3.7", "--identity", "3.7", "--max", "12")
+    code, out, _ = run(capsys, "--format", "csv", *argv)
+    assert code == 0
+    assert out.strip().split("\n")[1] == \
+        '3.7,"C_sd(p) = C_t(p) + C_su(p)","3 5 7 11",4,0,holds'
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.strip().split("\n")[-1] == "-- 4 hold, 0 fail, 0 not applicable"
+
+
 def test_verify_unknown_key(capsys):
     code, _, err = run(capsys, "verify", "--identity", "nope", "--max", "10")
     assert code == 2 and "unknown" in err

@@ -1,8 +1,11 @@
+import dataclasses
 import hashlib
 import json
+import sys
 
 import pytest
 
+from circenum import counting, identities
 from circenum.errors import UnsupportedOrderError
 from circenum.identities import (IDENTITIES, IDENTITY_KEYS, LEMMA_KEYS,
                                  applicable, check, evaluable, verify_range)
@@ -182,3 +185,81 @@ def test_verify_digest_unchanged():
                      for r in reports)
     assert hashlib.sha256(text.encode()).hexdigest() == \
         "7be44109502e8c2f5f1c9598803505e5e59ec27c58da29d3fab4602ef02f6721"
+
+
+# --- the per-order enumerator memo ----------------------------------------------
+
+ENUMERATORS = ("prime_enumerator", "twice_prime_enumerator",
+               "prime_squared_enumerator")
+
+
+def _record_enumerator_calls(monkeypatch):
+    """Rebind each enumerator, in every circenum namespace that holds it, to
+    a wrapper that logs (name, args); returns the log."""
+    calls = []
+    namespaces = [module for name, module in sys.modules.items()
+                  if name == "circenum" or name.startswith("circenum.")]
+    for name in ENUMERATORS:
+        fn = getattr(counting, name)
+
+        def logged(*args, _fn=fn, _name=name):
+            calls.append((_name,) + args)
+            return _fn(*args)
+
+        for ns in namespaces:
+            for attr, value in list(vars(ns).items()):
+                if value is fn:
+                    monkeypatch.setattr(ns, attr, logged)
+    return calls
+
+
+def test_sweep_reports_equal_standalone_checks():
+    # a memo hit must equal a recomputation: every report of the sweep
+    # matches the same check run alone, outside any sweep
+    reports = verify_range(order_bound=300, lemma_bound=128, allow_oracle=True)
+    assert len(reports) == 1535
+    for r in reports:
+        alone = check(r.key, r.order, allow_oracle=True)
+        assert (alone.status, alone.lhs, alone.rhs) == (r.status, r.lhs, r.rhs), \
+            (r.key, r.order)
+
+
+def test_no_memo_outlives_a_sweep(monkeypatch):
+    verify_range(keys=("3.7", "4.1"), order_bound=30)
+    assert getattr(counting._scope, "memo", None) is None
+
+    real_run = IDENTITIES["3.7"].run
+
+    def boom(p):
+        if p == 11:
+            raise RuntimeError("checker failed at 11")
+        return real_run(p)
+
+    monkeypatch.setitem(IDENTITIES, "3.7",
+                        dataclasses.replace(IDENTITIES["3.7"], run=boom))
+    with pytest.raises(RuntimeError):
+        verify_range(keys=("4.1", "3.7"), order_bound=30)
+    assert getattr(counting._scope, "memo", None) is None
+    monkeypatch.undo()
+
+    calls = _record_enumerator_calls(monkeypatch)
+    check("3.7", 13)
+    check("3.7", 13)
+    assert len(calls) == 6   # sd, t, su, computed again by the second check
+
+
+def test_sweep_computes_each_enumerator_once_per_order(monkeypatch):
+    calls = _record_enumerator_calls(monkeypatch)
+    real_check = identities.check
+
+    def tagged_check(key, n, allow_oracle=False):
+        # prefix the calls made by this check with its order
+        start = len(calls)
+        report = real_check(key, n, allow_oracle)
+        calls[start:] = [(n,) + call for call in calls[start:]]
+        return report
+
+    monkeypatch.setattr(identities, "check", tagged_check)
+    verify_range(order_bound=300, lemma_bound=128)
+    assert len(calls) == len(set(calls)) == 568   # 2,428 with no memo
+    assert len({call[1:] for call in calls}) == 504
