@@ -25,7 +25,6 @@ one it always computes.
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from math import isqrt
@@ -183,8 +182,8 @@ def has_formula(order: int, klass: str) -> bool:
     return kind is not None and (kind[0] != "twice_prime" or klass in VALENCY_CLASSES)
 
 
-# memo: (order, class) -> CountResult while this thread is in an order_memo()
-_scope = threading.local()
+# (order, class) -> CountResult while an order_memo() scope is open
+_memo: dict | None = None
 
 
 @contextmanager
@@ -194,17 +193,17 @@ def order_memo():
     The enumerators are pure and a CountResult is frozen, so a hit equals a
     recomputation.  The memo is dropped when the scope exits, raising or not.
     """
-    outer = getattr(_scope, "memo", None)
-    _scope.memo = {}
+    global _memo
+    _memo = {}
     try:
         yield
     finally:
-        _scope.memo = outer
+        _memo = None
 
 
 def count_by_formula(order: int, klass: str) -> CountResult:
     """Dispatch to whichever closed form covers the order, else raise."""
-    memo = getattr(_scope, "memo", None)
+    memo = _memo
     if memo is not None and (order, klass) in memo:
         return memo[order, klass]
     _require_class(klass)

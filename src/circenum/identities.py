@@ -6,10 +6,11 @@ recomputes BOTH sides through counting.count_by_formula, never one side from
 the other's intermediates, so the identities remain a genuine test of the
 formulas.  verify_range runs the checks at each order in one order_memo()
 scope, which sits in front of the enumerator calls: a hit there is the frozen
-CountResult a pure function would recompute, and the memo holds one order's
-results at most.  Orders that counting.has_formula does not cover fall back
-to the exhaustive oracle where desk-scale allows (order 2, and optionally
-small orders).
+CountResult a pure function would recompute, and the memo holds only the
+results needed at one sweep order: a few (order, class) entries for n, n+1,
+(n+1)/2, or p and p^2.  Orders that counting.has_formula does not cover
+fall back to the exhaustive oracle where desk-scale allows (order 2, and
+optionally small orders).
 
 The four L2.* keys are cycle-index lemmas checked symbolically over the
 formal variables x_1, x_2, ... at a parameter m >= 1; everything else is

@@ -106,17 +106,6 @@ def _adjacency(n: int, members) -> list[int]:
     return [((mask << v) | (mask >> (n - v))) & full for v in range(n)]
 
 
-def _transpose(out_adj: list[int]) -> list[int]:
-    """In-neighbour masks of any digraph, one arc at a time."""
-    in_adj = [0] * len(out_adj)
-    for v, row in enumerate(out_adj):
-        while row:
-            low = row & -row
-            in_adj[low.bit_length() - 1] |= 1 << v
-            row ^= low
-    return in_adj
-
-
 def _refine(n: int, out_adj, in_adj, cells, fresh):
     """Coarsest stable refinement of an ordered partition.
 
@@ -162,19 +151,22 @@ def _refine(n: int, out_adj, in_adj, cells, fresh):
     return cells
 
 
-def digraph_certificate(out_adj: list[int], known_automorphisms=(),
-                        in_adj: list[int] | None = None) -> int:
+def digraph_certificate(out_adj: list[int], known_automorphisms=()) -> int:
     """Canonical form of a digraph on vertices 0..n-1 as a single integer.
 
     Equal certificates imply isomorphism by construction (the encoding is the
     adjacency matrix of a relabeling); within the search's reach the converse
     holds too because every choice made is isomorphism-invariant.
     known_automorphisms (vertex permutations as tuples) seed the pruning.
-    in_adj, the in-neighbour masks, is built from out_adj when not given.
     """
     n = len(out_adj)
-    if in_adj is None:
-        in_adj = _transpose(out_adj)
+    in_adj = [0] * n
+    for v in range(n):
+        row = out_adj[v]
+        while row:
+            low = row & -row
+            in_adj[low.bit_length() - 1] |= 1 << v
+            row ^= low
 
     best_enc: list[int | None] = [None]
     best_lab: list[list[int] | None] = [None]
@@ -285,13 +277,11 @@ def canonical_form(cs: ConnectionSet) -> bytes:
     """
     n = cs.order
     out_adj = _adjacency(n, cs.members)
-    # u -> v iff v - u is in S, so the in-neighbours come from -S
-    in_adj = _adjacency(n, [n - s for s in cs.members])
     autos = [tuple((v + 1) % n for v in range(n))]
     for m in _units(n):
         if m != 1 and {m * s % n for s in cs.members} == cs.members:
             autos.append(tuple(m * v % n for v in range(n)))
-    enc = digraph_certificate(out_adj, autos, in_adj)
+    enc = digraph_certificate(out_adj, autos)
     return bytes([n]) + enc.to_bytes((n * n + 7) // 8, "big")
 
 

@@ -226,7 +226,7 @@ def test_sweep_reports_equal_standalone_checks():
 
 def test_no_memo_outlives_a_sweep(monkeypatch):
     verify_range(keys=("3.7", "4.1"), order_bound=30)
-    assert getattr(counting._scope, "memo", None) is None
+    assert counting._memo is None
 
     real_run = IDENTITIES["3.7"].run
 
@@ -239,7 +239,7 @@ def test_no_memo_outlives_a_sweep(monkeypatch):
                         dataclasses.replace(IDENTITIES["3.7"], run=boom))
     with pytest.raises(RuntimeError):
         verify_range(keys=("4.1", "3.7"), order_bound=30)
-    assert getattr(counting._scope, "memo", None) is None
+    assert counting._memo is None
     monkeypatch.undo()
 
     calls = _record_enumerator_calls(monkeypatch)
