@@ -3,6 +3,9 @@
 Subcommands: count, table, verify, primes, logconcave.  Exit codes follow a
 stable contract: 0 success / all identities hold, 1 identity or property
 violation, 2 usage error, 3 unsupported order or out-of-range oracle request.
+A reader that closes standard output early (as `| head` does) ends the run
+with 141 and no traceback, the status a shell reports for a filter killed by
+SIGPIPE (128 + 13).
 Every number is printed as a full decimal string together with its provenance
 (formula / oracle); JSON output is line-delimited with sorted keys, so
 re-rendering parsed records reproduces the bytes exactly.  The output format
@@ -27,6 +30,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_UNSUPPORTED = 3
+EXIT_BROKEN_PIPE = 141
 
 FORMATS = ("text", "csv", "json")
 TABLE1_COLUMNS = ("C_d", "C_u", "C_o", "C_sd", "C_su", "C_t")
@@ -347,9 +351,16 @@ def main(argv=None) -> int:
 
 
 def main_exit() -> None:
-    """Console-script entry point."""
-    sys.exit(main())
+    """Console-script and ``python -m circenum`` entry point."""
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe raises here, not at shutdown
+    except BrokenPipeError:
+        # stdout at devnull, so the flush at shutdown writes nothing either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main_exit()

@@ -3,10 +3,16 @@
 Independent of every counting formula: connection sets are enumerated
 exhaustively, grouped into multiplier orbits (S -> m*S for units m, an
 explicit isomorphism x -> m*x, so members of an orbit are always isomorphic),
-and one representative per orbit is canonically labeled.  Orbits sharing a
-certificate form one isomorphism class.  Nothing here assumes the converse
-(that isomorphic circulants are multiplier related), so the oracle is a
-genuine cross-check for the formulas.
+and each orbit is represented by its least mask.  Nothing here assumes the
+converse (that isomorphic circulants are multiplier related), so the oracle
+is a genuine cross-check for the formulas.
+
+Orbits are first bucketed by an exact isomorphism invariant, the counts of
+closed walks of lengths 1..n, which fix the spectrum.  Different counts prove
+two orbits non-isomorphic, so an orbit alone in its bucket is a class of its
+own.  Within a shared bucket one representative per orbit is canonically
+labeled and orbits sharing a certificate form one class: certificates decide
+every merge, and the invariant only ever separates.
 
 The canonical labeler is a self-contained individualization-refinement
 search over vertex partitions: refine to the coarsest stable partition using
@@ -89,11 +95,6 @@ def _mask_to_set(mask: int) -> list[int]:
     return out
 
 
-def _set_sort_key(mask: int) -> tuple[int, ...]:
-    """Lexicographic order on the ascending member tuple, not on the bitmask."""
-    return tuple(_mask_to_set(mask))
-
-
 def _units(n: int) -> list[int]:
     return [m for m in range(1, n) if gcd(m, n) == 1]
 
@@ -104,6 +105,27 @@ def _adjacency(n: int, members) -> list[int]:
     mask = sum(1 << s for s in members)
     full = (1 << n) - 1
     return [((mask << v) | (mask >> (n - v))) & full for v in range(n)]
+
+
+def _closed_walks(n: int, mask: int) -> int:
+    """Closed walks at vertex 0 of each length 1..n, packed into one integer.
+
+    The rotation is an automorphism, so the count of length k is tr(A^k)/n,
+    and lengths 1..n fix the characteristic polynomial (Newton's identities):
+    isomorphic circulants get equal keys.  Step k holds the coefficients of
+    (sum of z^s over S)^k mod z^n - 1 as digits of one integer; they are
+    non-negative and sum to |S|^k <= |S|^n, so no digit carries.  The key
+    starts with a 1 digit, so its length fixes the digit width.
+    """
+    width = n * mask.bit_count().bit_length() + 1
+    step = sum(1 << (width * s) for s in _mask_to_set(mask))
+    low, digit = (1 << (width * n)) - 1, (1 << width) - 1
+    walks = key = 1
+    for _ in range(n):
+        walks *= step
+        walks = (walks & low) + (walks >> (width * n))
+        key = key << width | walks & digit
+    return key
 
 
 def _refine(n: int, out_adj, in_adj, cells, fresh):
@@ -304,52 +326,53 @@ class _Survey:
 
     def __init__(self, n: int, undirected_only: bool = False):
         units = _units(n)
-        masks = self._eligible_masks(n, undirected_only)
-        # multiplier orbits; each keeps its lexicographically least member.
-        # The units form a group, so one pass over them reaches the orbit.
+        # multiplier orbits; masks ascend, so each orbit's representative is
+        # its least mask.  The units form a group, so one pass reaches the orbit.
         orbit_of: dict[int, int] = {}
         orbit_reps: list[int] = []
-        for mask in masks:
+        for mask in self._eligible_masks(n, undirected_only):
             if mask in orbit_of:
                 continue
+            idx = orbit_of[mask] = len(orbit_reps)
+            orbit_reps.append(mask)
             members = _mask_to_set(mask)
-            orbit = {mask}
             for m in units:
                 new = 0
                 for s in members:
                     new |= 1 << (m * s % n)
-                orbit.add(new)
-            idx = len(orbit_reps)
-            orbit_reps.append(min(orbit, key=_set_sort_key))
-            for member in orbit:
-                orbit_of[member] = idx
+                orbit_of[new] = idx
         self.orbit_reps = orbit_reps
-        certs = [canonical_form(ConnectionSet.from_mask(n, rep)) for rep in orbit_reps]
-        self.cert_of_orbit = certs
-        grouped: dict[bytes, list[int]] = {}
-        for i, cert in enumerate(certs):
-            grouped.setdefault(cert, []).append(i)
+        # orbits with distinct closed-walk counts are not isomorphic; only
+        # orbits that share a count are told apart or merged by certificates
+        buckets: dict[int, list[int]] = {}
+        for i, rep in enumerate(orbit_reps):
+            buckets.setdefault(_closed_walks(n, rep), []).append(i)
+        groups = []
+        for ids in buckets.values():
+            if len(ids) == 1:
+                groups.append(ids)
+                continue
+            by_cert: dict[bytes, list[int]] = {}
+            for i in ids:
+                cert = canonical_form(ConnectionSet.from_mask(n, orbit_reps[i]))
+                by_cert.setdefault(cert, []).append(i)
+            groups.extend(by_cert.values())
+        groups.sort()
+        self.class_of_orbit = {i: c for c, ids in enumerate(groups) for i in ids}
         full = (1 << n) - 2
         self.classes: list[_ClassInfo] = []
-        self.class_of_orbit: dict[int, int] = {}
-        for cert in sorted(grouped):
-            orbit_ids = grouped[cert]
-            rep = min((orbit_reps[i] for i in orbit_ids), key=_set_sort_key)
+        for c, ids in enumerate(groups):
+            rep = orbit_reps[ids[0]]
             cs = ConnectionSet.from_mask(n, rep)
             # complement preserves eligibility in both modes, so its orbit is known
-            comp_mask = full & ~rep
-            self_comp = certs[orbit_of[comp_mask]] == cert
-            info = _ClassInfo(
+            self.classes.append(_ClassInfo(
                 valency=cs.valency,
-                orbit_count=len(orbit_ids),
+                orbit_count=len(ids),
                 undirected=cs.is_undirected(),
                 oriented=cs.is_oriented(),
                 tournament=cs.is_tournament(),
-                self_complementary=self_comp,
-            )
-            for i in orbit_ids:
-                self.class_of_orbit[i] = len(self.classes)
-            self.classes.append(info)
+                self_complementary=self.class_of_orbit[orbit_of[full & ~rep]] == c,
+            ))
 
     @staticmethod
     def _eligible_masks(n: int, undirected_only: bool) -> list[int]:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -263,3 +267,21 @@ def test_verify_csv_summary(capsys):
     lines = out.strip().split("\n")
     assert lines[0] == "key,formula,orders,holds,fails,status"
     assert lines[1] == '3.7,"C_sd(p) = C_t(p) + C_su(p)","3 5 7 11 13 17 19 23 29",9,0,holds'
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    # about 140 KB of pairs, more than a pipe buffer holds, so writing
+    # continues after the reader has gone
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("CIRCENUM_FORMAT", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "circenum", "primes", "--nearly-doubled",
+         "--limit", "2000000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"q=2 p=3\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""

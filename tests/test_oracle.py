@@ -7,10 +7,11 @@ import pytest
 from circenum.counting import (count_by_formula, formula_kind,
                                oriented_alternating_expected)
 from circenum.errors import UnsupportedOrderError
-from circenum.oracle import (ConnectionSet, _adjacency, _refine, canonical_form,
-                             cayley_classes, classify_self_complementary,
-                             digraph_certificate, enumerate_circulants,
-                             non_ci_count)
+from circenum.oracle import (ConnectionSet, _ClassInfo, _adjacency,
+                             _closed_walks, _refine, _survey, _units,
+                             canonical_form, cayley_classes,
+                             classify_self_complementary, digraph_certificate,
+                             enumerate_circulants, non_ci_count)
 
 from golden import (COLUMN_CLASSES, ORIENTED_CORRECTIONS,
                     ORIENTED_MISPRINTS_AT_CI_ORDERS, TABLE1)
@@ -129,15 +130,20 @@ def test_certificate_separates_nonisomorphic():
     assert digraph_certificate(path) != digraph_certificate(cycle)
 
 
+def _orbit_certificates(surveys):
+    """The certificate of every orbit representative, survey by survey."""
+    return [canonical_form(ConnectionSet.from_mask(n, rep))
+            for n, undirected_only in surveys
+            for rep in _survey(n, undirected_only).orbit_reps]
+
+
 def test_certificate_digest_unchanged():
     """Differential pin of the canonical labeler: SHA-256 over every orbit
     certificate of the directed surveys n = 1..12 and the undirected surveys
     n = 13..20 (1,842 certificates), as computed by the labeler that pruned
     by a breadth-first closure over the whole automorphism list."""
-    from circenum.oracle import _survey
-    surveys = ([_survey(n, False) for n in range(1, 13)]
-               + [_survey(n, True) for n in range(13, 21)])
-    certs = [cert for survey in surveys for cert in survey.cert_of_orbit]
+    certs = _orbit_certificates([(n, False) for n in range(1, 13)]
+                                + [(n, True) for n in range(13, 21)])
     assert len(certs) == 1842
     assert hashlib.sha256(b"".join(certs)).hexdigest() == \
         "64f43beb68866a21b912bf2884eabfec89bb493537dd0c2caebbdfb6956c003f"
@@ -163,13 +169,51 @@ def test_workload_order_certificate_digest_unchanged():
     n = 13..15 and the undirected surveys n = 21..22 (4,540 certificates),
     the orders the benchmark's oracle workload runs, computed by the labeler
     that refined by recounting against every cell."""
-    from circenum.oracle import _survey
-    surveys = ([_survey(n, False) for n in range(13, 16)]
-               + [_survey(n, True) for n in range(21, 23)])
-    certs = [cert for survey in surveys for cert in survey.cert_of_orbit]
+    certs = _orbit_certificates([(n, False) for n in range(13, 16)]
+                                + [(n, True) for n in range(21, 23)])
     assert len(certs) == 4540
     assert hashlib.sha256(b"".join(certs)).hexdigest() == \
         "52b530f6ebdd5a759df35367c66e12ed0a054d81603943f4f9fdbffd0831d492"
+
+
+def _walk_counts(n, members):
+    """Closed walks at vertex 0 of lengths 1..n, by list convolution."""
+    reach = [1] + [0] * (n - 1)
+    counts = []
+    for _ in range(n):
+        step = [0] * n
+        for v, ways in enumerate(reach):
+            for s in members:
+                step[(v + s) % n] += ways
+        reach = step
+        counts.append(reach[0])
+    return counts
+
+
+def _packed(n, members, counts):
+    width = n * len(members).bit_length() + 1
+    key = 1
+    for c in counts:
+        key = key << width | c
+    return key
+
+
+def test_closed_walks_exact():
+    rng = random.Random(31_415_926)
+    for n in range(1, 17):
+        for _ in range(25):
+            members = [s for s in range(1, n) if rng.random() < rng.random()]
+            mask = sum(1 << s for s in members)
+            assert _closed_walks(n, mask) == _packed(n, members, _walk_counts(n, members))
+            for m in _units(n):
+                image = sum(1 << (m * s % n) for s in members)
+                assert _closed_walks(n, image) == _closed_walks(n, mask)
+    for n in range(1, 28):
+        assert _closed_walks(n, 0) == 1 << n
+    # the widest digits: 26^27 walks of length 27 from 26 generators
+    full = list(range(1, 27))
+    assert (_closed_walks(27, (1 << 27) - 2)
+            == _packed(27, full, _walk_counts(27, full)))
 
 
 def _full_recount_refine(out_adj, in_adj, cells):
@@ -423,7 +467,6 @@ def test_valency_constant_on_classes():
 
 def test_valency_agrees_across_merged_orbits():
     # every orbit merged into one class carries the same connection-set size
-    from circenum.oracle import _survey
     for n in (8, 9, 12, 16):
         survey = _survey(n, False)
         sizes_by_class = {}
@@ -431,6 +474,69 @@ def test_valency_agrees_across_merged_orbits():
             size = bin(survey.orbit_reps[orbit_id]).count("1")
             sizes_by_class.setdefault(class_id, set()).add(size)
         assert all(len(sizes) == 1 for sizes in sizes_by_class.values())
+
+
+def _certify_every_orbit(n, reps):
+    """The grouping without closed-walk buckets: certify every orbit
+    representative, group orbits by certificate, and take
+    self-complementarity from certificate equality.  Maps each class's
+    orbit indices to its _ClassInfo."""
+    index = {rep: i for i, rep in enumerate(reps)}
+    units = _units(n) or [1]
+    certs = [canonical_form(ConnectionSet.from_mask(n, rep)) for rep in reps]
+    grouped = {}
+    for i, cert in enumerate(certs):
+        grouped.setdefault(cert, []).append(i)
+    classes = {}
+    for cert, ids in grouped.items():
+        cs = ConnectionSet.from_mask(n, reps[ids[0]])
+        comp = cs.complement().members
+        comp_orbit = index[min(sum(1 << (m * s % n) for s in comp) for m in units)]
+        classes[frozenset(ids)] = _ClassInfo(
+            valency=cs.valency, orbit_count=len(ids),
+            undirected=cs.is_undirected(), oriented=cs.is_oriented(),
+            tournament=cs.is_tournament(),
+            self_complementary=certs[comp_orbit] == cert)
+    return classes
+
+
+def _walk_buckets(n, reps):
+    buckets = {}
+    for i, rep in enumerate(reps):
+        buckets.setdefault(_closed_walks(n, rep), []).append(i)
+    return list(buckets.values())
+
+
+@pytest.mark.parametrize("n,undirected_only",
+                         [(n, False) for n in range(1, 15)]
+                         + [(n, True) for n in range(15, 25)])
+def test_walk_buckets_match_certifying_every_orbit(n, undirected_only):
+    survey = _survey(n, undirected_only)
+    reps = survey.orbit_reps
+    units = _units(n) or [1]
+    # each representative is the least mask of its orbit
+    assert all(rep == min(sum(1 << (m * s % n) for s in range(n) if rep >> s & 1)
+                          for m in units) for rep in reps)
+    orbits_of_class = {}
+    for orbit, c in survey.class_of_orbit.items():
+        orbits_of_class.setdefault(c, []).append(orbit)
+    got = {frozenset(ids): survey.classes[c] for c, ids in orbits_of_class.items()}
+    assert len(got) == len(survey.classes)
+    assert got == _certify_every_orbit(n, reps)
+
+
+def test_walk_buckets_both_merge_and_split():
+    # n = 8: the two shared buckets each merge into one class
+    survey = _survey(8, False)
+    buckets = _walk_buckets(8, survey.orbit_reps)
+    shared = [b for b in buckets if len(b) > 1]
+    assert (len(survey.orbit_reps), len(buckets), len(survey.classes)) == (48, 46, 46)
+    assert len(shared) == 2
+    assert all(len({survey.class_of_orbit[i] for i in b}) == 1 for b in shared)
+    # n = 12: orbits with equal walk counts that are not isomorphic
+    survey = _survey(12, False)
+    buckets = _walk_buckets(12, survey.orbit_reps)
+    assert (len(survey.orbit_reps), len(buckets), len(survey.classes)) == (624, 574, 624)
 
 
 # --- Cayley (multiplier) orbits ------------------------------------------------------
@@ -445,7 +551,6 @@ def test_cayley_classes_examples():
 
 def test_cayley_burnside_matches_direct_merge():
     # Burnside (no isomorphism) against the survey's orbit bookkeeping
-    from circenum.oracle import _survey
     for n in (6, 8, 9, 12, 15):
         survey = _survey(n, False)
         for klass in ("d", "u", "o", "t"):
