@@ -232,15 +232,17 @@ def alternating_sum(n: int, klass: str) -> int:
 
 
 def oriented_alternating_expected(n: int) -> int:
-    """The predicted value of the oriented alternating sum at order n.
+    """The oriented alternating sum c_o(n, -1) at the orders where it is
+    proven: n prime, 2p or an odd p^2.
 
     Odd n: 0 when some prime divisor of n is congruent to 3 mod 4, else 1.
-    n = 2 * odd: 1.  No value is predicted at multiples of 4, where the sum
-    varies (the oracle gives 1, 0, 6 at n = 8, 12, 16): ValueError.
+    n = 2p: 1.  Any other order raises ValueError: at multiples of 4 the sum
+    varies (the oracle gives 1, 0, 6 at n = 8, 12, 16), and the rule's
+    general-order form is false (the oracle gives -5 at 21, where it
+    predicts 0).
     """
-    if n % 4 == 0:
-        raise ValueError(f"no predicted oriented alternating sum at order {n}, "
-                         "a multiple of 4")
+    if not is_prime(n) and formula_kind(n) is None:
+        raise ValueError(f"no proven oriented alternating sum at order {n}")
     if n % 2 == 0:
         return 1
     return 0 if has_prime_divisor_3_mod_4(n) else 1

@@ -7,38 +7,32 @@ and each orbit is represented by its least mask.  Nothing here assumes the
 converse (that isomorphic circulants are multiplier related), so the oracle
 is a genuine cross-check for the formulas.
 
-Orbits are first bucketed by an exact isomorphism invariant, the counts of
-closed walks of lengths 1..n, which fix the spectrum.  Different counts prove
-two orbits non-isomorphic, so an orbit alone in its bucket is a class of its
-own.  Within a shared bucket one representative per orbit is canonically
-labeled and orbits sharing a certificate form one class: certificates decide
-every merge, and the invariant only ever separates.
+A survey indexes the eligible sets by bits over atoms (elements, or pairs
+{s, n-s} when undirected) so that ascending indices are ascending masks; a
+bytearray seen-set and two half-width lookup tables per unit find each orbit
+from its least index.  Orbits are bucketed by their spectrum mod a prime P,
+over which the DFT diagonalises every circulant: the key, the characteristic
+polynomial mod P at a generic point, is an isomorphism invariant, so an
+orbit alone in its bucket is a class of its own.  Within a shared bucket one
+representative per orbit is canonically labeled and orbits sharing a
+certificate form one class: certificates decide every merge, and the
+invariant only ever separates.
 
 The canonical labeler is a self-contained individualization-refinement
-search over vertex partitions: refine to the coarsest stable partition using
-out/in neighbour counts per cell, branch on the smallest non-singleton cell,
-and take the lexicographically least adjacency encoding over all leaves.
-Refinement counts only against fresh cells: [v] after individualizing v,
-then every fragment of a split but the last.  The counts against the other
-cells are constant within each cell or follow from earlier fresh counts (the
-last fragment's is its parent's minus its siblings'), so the buckets, their
-sorted order and every certificate are those of a full recount.
-Automorphisms discovered at equal-encoding leaves (plus any known a priori,
-e.g. the rotation of a circulant) prune branches that cannot change the
-minimum.  Each open search node keeps the known automorphisms that fix its
-individualized prefix pointwise (a child keeps those of its parent that also
-fix the new vertex; one found at a leaf goes to every open node whose prefix
-it fixes) and the orbits they generate on the node's target cell, as a
-union-find grown with that stabiliser.  A sibling in the orbit of an explored
-one repeats its subtree and is skipped.  Practical for graphs up to a few
-dozen vertices.
+search over vertex partitions: refinement by out/in neighbour counts (see
+_refine), branching on the smallest non-singleton cell, the lexicographically
+least adjacency encoding over all leaves, and pruning by the automorphisms
+known a priori or found at equal leaves (see _StabiliserNode).  Practical for
+graphs up to a few dozen vertices.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
+from sys import byteorder
 
 from .errors import UnsupportedOrderError
 from .counting import CountResult
@@ -107,25 +101,47 @@ def _adjacency(n: int, members) -> list[int]:
     return [((mask << v) | (mask >> (n - v))) & full for v in range(n)]
 
 
-def _closed_walks(n: int, mask: int) -> int:
-    """Closed walks at vertex 0 of each length 1..n, packed into one integer.
+# The field F_P: every n <= 40 divides P - 1, so F_P holds an n-th root of
+# unity and the DFT diagonalises every circulant of order n over it.
+_P = 53429314570632001          # 10 * lcm(1..40) + 1, a prime
+_G = 47                         # the least primitive root mod P
+_R = 0x9E3779B97F4A7C15 % _P    # a generic point, not a small rational
 
-    The rotation is an automorphism, so the count of length k is tr(A^k)/n,
-    and lengths 1..n fix the characteristic polynomial (Newton's identities):
-    isomorphic circulants get equal keys.  Step k holds the coefficients of
-    (sum of z^s over S)^k mod z^n - 1 as digits of one integer; they are
-    non-negative and sum to |S|^k <= |S|^n, so no digit carries.  The key
-    starts with a 1 digit, so its length fixes the digit width.
+
+def _root_of_unity(n: int) -> int:
+    """omega of exact order n in F_P: g^((P-1)/n) for the primitive root g."""
+    if (_P - 1) % n:
+        raise ValueError(f"F_P holds no root of unity of order {n}")
+    return pow(_G, (_P - 1) // n, _P)
+
+
+def _halves(values: list[int], base: int = 0) -> tuple[list[int], list[int]]:
+    """Sums of values over every subset of the low len(values)//2 bits and
+    of the rest: base plus the sum over index x is lo[x & low] + hi[x >> half]."""
+    tables = ([base], [0])
+    for i, v in enumerate(values):
+        sums = tables[i >= len(values) // 2]
+        sums += [t + v for t in sums]
+    return tables
+
+
+def _spectrum_keys(n: int, atoms: list[set[int]], indices):
+    """Pi_j (r - lambda_j) mod P for the set S at each index: lambda_j = sum
+    over S of omega^(js), j = 1..n-1, are its eigenvalues mod P but |S|, so
+    this is its characteristic polynomial at r over r - |S|; a unit permutes
+    the j.  Each atom holds its -lambda_j mod P in 64-bit lanes of one
+    integer; with r added, an index's lane sums stay below 40 P < 2^64.
     """
-    width = n * mask.bit_count().bit_length() + 1
-    step = sum(1 << (width * s) for s in _mask_to_set(mask))
-    low, digit = (1 << (width * n)) - 1, (1 << width) - 1
-    walks = key = 1
-    for _ in range(n):
-        walks *= step
-        walks = (walks & low) + (walks >> (width * n))
-        key = key << width | walks & digit
-    return key
+    omega = _root_of_unity(n)
+    powers = [pow(omega, k, _P) for k in range(n)]
+    lanes = range(n - 1)
+    lo, hi = _halves([sum(-sum(powers[(j + 1) * s % n] for s in atom) % _P << 64 * j
+                          for j in lanes) for atom in atoms],
+                     sum(_R << 64 * j for j in lanes))
+    half, low = len(atoms) // 2, (1 << len(atoms) // 2) - 1
+    for x in indices:
+        packed = lo[x & low] + hi[x >> half]
+        yield prod(memoryview(packed.to_bytes(8 * len(lanes), byteorder)).cast("Q")) % _P
 
 
 def _refine(n: int, out_adj, in_adj, cells, fresh):
@@ -325,28 +341,31 @@ class _Survey:
     """All isomorphism classes of one order, with per-class predicates."""
 
     def __init__(self, n: int, undirected_only: bool = False):
-        units = _units(n)
-        # multiplier orbits; masks ascend, so each orbit's representative is
-        # its least mask.  The units form a group, so one pass reaches the orbit.
-        orbit_of: dict[int, int] = {}
-        orbit_reps: list[int] = []
-        for mask in self._eligible_masks(n, undirected_only):
-            if mask in orbit_of:
-                continue
-            idx = orbit_of[mask] = len(orbit_reps)
-            orbit_reps.append(mask)
-            members = _mask_to_set(mask)
-            for m in units:
-                new = 0
-                for s in members:
-                    new |= 1 << (m * s % n)
-                orbit_of[new] = idx
-        self.orbit_reps = orbit_reps
-        # orbits with distinct closed-walk counts are not isomorphic; only
-        # orbits that share a count are told apart or merged by certificates
+        # bit i of an index is atoms[i]: element i + 1, or the pair {s, n-s}
+        # for s = n//2 - i, so ascending indices are ascending masks.  The
+        # first unseen index is its orbit's least mask, and marking its images
+        # under the unit group (two half tables per unit) marks the orbit.
+        atoms = ([{s, n - s} for s in range(n // 2, 0, -1)] if undirected_only
+                 else [{s} for s in range(1, n)])
+        bit_of = {s: i for i, atom in enumerate(atoms) for s in atom}
+        units = [_halves([1 << bit_of[m * min(atom) % n] for atom in atoms])
+                 for m in _units(n) or [1]]
+        half, low = len(atoms) // 2, (1 << len(atoms) // 2) - 1
+        seen = bytearray(1 << len(atoms))
+        reps, x = [], 0
+        while x >= 0:
+            reps.append(x)
+            for lo, hi in units:
+                seen[lo[x & low] + hi[x >> half]] = 1
+            x = seen.find(0, x + 1)
+        mask_lo, mask_hi = _halves([sum(1 << s for s in atom) for atom in atoms])
+        orbit_reps = self.orbit_reps = [mask_lo[x & low] + mask_hi[x >> half]
+                                        for x in reps]
+        # orbits with distinct spectra mod P are not isomorphic; only orbits
+        # that share a key are told apart or merged by certificates
         buckets: dict[int, list[int]] = {}
-        for i, rep in enumerate(orbit_reps):
-            buckets.setdefault(_closed_walks(n, rep), []).append(i)
+        for i, key in enumerate(_spectrum_keys(n, atoms, reps)):
+            buckets.setdefault(key, []).append(i)
         groups = []
         for ids in buckets.values():
             if len(ids) == 1:
@@ -359,40 +378,21 @@ class _Survey:
             groups.extend(by_cert.values())
         groups.sort()
         self.class_of_orbit = {i: c for c, ids in enumerate(groups) for i in ids}
-        full = (1 << n) - 2
+        full = (1 << len(atoms)) - 1
+        neg_lo, neg_hi = units[-1]      # the unit n - 1 negates
         self.classes: list[_ClassInfo] = []
         for c, ids in enumerate(groups):
-            rep = orbit_reps[ids[0]]
-            cs = ConnectionSet.from_mask(n, rep)
-            # complement preserves eligibility in both modes, so its orbit is known
+            x = reps[ids[0]]
+            neg = neg_lo[x & low] + neg_hi[x >> half]
+            valency = orbit_reps[ids[0]].bit_count()
+            # complement preserves eligibility in both modes; the least image
+            # of the complement's index is its orbit's representative
+            comp = min(lo[(x ^ full) & low] + hi[(x ^ full) >> half] for lo, hi in units)
             self.classes.append(_ClassInfo(
-                valency=cs.valency,
-                orbit_count=len(ids),
-                undirected=cs.is_undirected(),
-                oriented=cs.is_oriented(),
-                tournament=cs.is_tournament(),
-                self_complementary=self.class_of_orbit[orbit_of[full & ~rep]] == c,
-            ))
-
-    @staticmethod
-    def _eligible_masks(n: int, undirected_only: bool) -> list[int]:
-        if not undirected_only:
-            return list(range(0, 1 << n, 2))
-        # negation-closed sets: free choice over the pairs {s, n-s}
-        pairs = []
-        for s in range(1, n // 2 + 1):
-            mask = 1 << s
-            if s != n - s:
-                mask |= 1 << (n - s)
-            pairs.append(mask)
-        masks = []
-        for pick in range(1 << len(pairs)):
-            m = 0
-            for i, pm in enumerate(pairs):
-                if (pick >> i) & 1:
-                    m |= pm
-            masks.append(m)
-        return sorted(masks)
+                valency=valency, orbit_count=len(ids),
+                undirected=neg == x, oriented=not neg & x,
+                tournament=not neg & x and 2 * valency == n - 1,
+                self_complementary=self.class_of_orbit[bisect_left(reps, comp)] == c))
 
     def select(self, klass: str):
         pred = _CLASS_PREDICATES[klass]

@@ -217,6 +217,16 @@ def test_alternating_sums_match_self_complementary_counts():
         assert alternating_sum(n, "o") == oriented_alternating_expected(n)
 
 
+def test_oriented_alternating_expected_only_where_proven():
+    # rule 6.3 in its general-order form fails at 21 (c_o(21, -1) = -5, see
+    # tests/test_oracle.py); only prime, 2p and odd p^2 orders are predicted
+    for n in (15, 21, 30, 33, 1, 4, 8, 45):
+        with pytest.raises(ValueError):
+            oriented_alternating_expected(n)
+    assert [oriented_alternating_expected(n) for n in (2, 3, 5, 6, 9, 14, 25, 49)] == \
+        [1, 0, 1, 1, 0, 1, 1, 0]
+
+
 def test_alternating_sum_unsupported_order():
     with pytest.raises(UnsupportedOrderError):
         alternating_sum(15, "d")

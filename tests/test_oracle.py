@@ -1,14 +1,18 @@
 import hashlib
 import random
 from itertools import permutations
+from math import lcm
 
 import pytest
 
+from circenum import oracle
 from circenum.counting import (count_by_formula, formula_kind,
                                oriented_alternating_expected)
 from circenum.errors import UnsupportedOrderError
+from circenum.numtheory import is_prime
 from circenum.oracle import (ConnectionSet, _ClassInfo, _adjacency,
-                             _closed_walks, _refine, _survey, _units,
+                             _mask_to_set, _refine, _root_of_unity,
+                             _spectrum_keys, _survey, _units,
                              canonical_form, cayley_classes,
                              classify_self_complementary, digraph_certificate,
                              enumerate_circulants, non_ci_count)
@@ -174,6 +178,28 @@ def test_workload_order_certificate_digest_unchanged():
     assert len(certs) == 4540
     assert hashlib.sha256(b"".join(certs)).hexdigest() == \
         "52b530f6ebdd5a759df35367c66e12ed0a054d81603943f4f9fdbffd0831d492"
+
+
+def _closed_walks(n, mask):
+    """Closed walks at vertex 0 of each length 1..n, packed into one integer:
+    the reference bucket key the spectrum key replaced.
+
+    The rotation is an automorphism, so the count of length k is tr(A^k)/n,
+    and lengths 1..n fix the characteristic polynomial (Newton's identities):
+    isomorphic circulants get equal keys.  Step k holds the coefficients of
+    (sum of z^s over S)^k mod z^n - 1 as digits of one integer; they are
+    non-negative and sum to |S|^k <= |S|^n, so no digit carries.  The key
+    starts with a 1 digit, so its length fixes the digit width.
+    """
+    width = n * mask.bit_count().bit_length() + 1
+    step = sum(1 << (width * s) for s in _mask_to_set(mask))
+    low, digit = (1 << (width * n)) - 1, (1 << width) - 1
+    walks = key = 1
+    for _ in range(n):
+        walks *= step
+        walks = (walks & low) + (walks >> (width * n))
+        key = key << width | walks & digit
+    return key
 
 
 def _walk_counts(n, members):
@@ -477,7 +503,7 @@ def test_valency_agrees_across_merged_orbits():
 
 
 def _certify_every_orbit(n, reps):
-    """The grouping without closed-walk buckets: certify every orbit
+    """The grouping without spectrum buckets: certify every orbit
     representative, group orbits by certificate, and take
     self-complementarity from certificate equality.  Maps each class's
     orbit indices to its _ClassInfo."""
@@ -500,11 +526,33 @@ def _certify_every_orbit(n, reps):
     return classes
 
 
-def _walk_buckets(n, reps):
+def _buckets(keys):
+    """Orbit indices grouped by key, in order of first appearance."""
     buckets = {}
-    for i, rep in enumerate(reps):
-        buckets.setdefault(_closed_walks(n, rep), []).append(i)
+    for i, key in enumerate(keys):
+        buckets.setdefault(key, []).append(i)
     return list(buckets.values())
+
+
+def _walk_buckets(n, reps):
+    return _buckets(_closed_walks(n, rep) for rep in reps)
+
+
+def _atoms(n, undirected_only):
+    """The atom at each index bit: element s at bit s - 1, or the pair
+    {s, n - s} at bit n//2 - s."""
+    if undirected_only:
+        return [{s, n - s} for s in range(n // 2, 0, -1)]
+    return [{s} for s in range(1, n)]
+
+
+def _index(atoms, mask):
+    return sum(1 << i for i, atom in enumerate(atoms) if mask >> min(atom) & 1)
+
+
+def _spectrum_buckets(n, undirected_only, reps):
+    atoms = _atoms(n, undirected_only)
+    return _buckets(_spectrum_keys(n, atoms, [_index(atoms, rep) for rep in reps]))
 
 
 @pytest.mark.parametrize("n,undirected_only",
@@ -528,15 +576,141 @@ def test_walk_buckets_match_certifying_every_orbit(n, undirected_only):
 def test_walk_buckets_both_merge_and_split():
     # n = 8: the two shared buckets each merge into one class
     survey = _survey(8, False)
-    buckets = _walk_buckets(8, survey.orbit_reps)
+    buckets = _spectrum_buckets(8, False, survey.orbit_reps)
     shared = [b for b in buckets if len(b) > 1]
     assert (len(survey.orbit_reps), len(buckets), len(survey.classes)) == (48, 46, 46)
     assert len(shared) == 2
     assert all(len({survey.class_of_orbit[i] for i in b}) == 1 for b in shared)
-    # n = 12: orbits with equal walk counts that are not isomorphic
+    # n = 12: orbits with equal spectra that are not isomorphic
     survey = _survey(12, False)
-    buckets = _walk_buckets(12, survey.orbit_reps)
+    buckets = _spectrum_buckets(12, False, survey.orbit_reps)
     assert (len(survey.orbit_reps), len(buckets), len(survey.classes)) == (624, 574, 624)
+
+
+def _eligible_masks(n, undirected_only):
+    if not undirected_only:
+        return list(range(0, 1 << n, 2))
+    # negation-closed sets: free choice over the pairs {s, n-s}
+    pairs = []
+    for s in range(1, n // 2 + 1):
+        mask = 1 << s
+        if s != n - s:
+            mask |= 1 << (n - s)
+        pairs.append(mask)
+    masks = []
+    for pick in range(1 << len(pairs)):
+        m = 0
+        for i, pm in enumerate(pairs):
+            if (pick >> i) & 1:
+                m |= pm
+        masks.append(m)
+    return sorted(masks)
+
+
+def _dict_orbits(n, undirected_only):
+    """The orbit phase the flat table replaced: a dict from every eligible
+    mask to its orbit, filled in ascending mask order, so each orbit's
+    representative is the first (least) mask met.  (orbit_of, orbit_reps)"""
+    units = _units(n)
+    orbit_of = {}
+    orbit_reps = []
+    for mask in _eligible_masks(n, undirected_only):
+        if mask in orbit_of:
+            continue
+        idx = orbit_of[mask] = len(orbit_reps)
+        orbit_reps.append(mask)
+        members = _mask_to_set(mask)
+        for m in units:
+            new = 0
+            for s in members:
+                new |= 1 << (m * s % n)
+            orbit_of[new] = idx
+    return orbit_of, orbit_reps
+
+
+@pytest.mark.parametrize("n,undirected_only",
+                         [(n, False) for n in range(1, 15)]
+                         + [(n, True) for n in range(15, 25)])
+def test_flat_orbit_table_matches_orbit_dict(n, undirected_only):
+    survey = _survey(n, undirected_only)
+    orbit_of, reps = _dict_orbits(n, undirected_only)
+    assert survey.orbit_reps == reps
+    # the complement's orbit, as the dict found it
+    first = {}
+    for i, c in sorted(survey.class_of_orbit.items()):
+        first.setdefault(c, i)
+    full = (1 << n) - 2
+    for c, info in enumerate(survey.classes):
+        comp_class = survey.class_of_orbit[orbit_of[full & ~reps[first[c]]]]
+        assert info.self_complementary == (comp_class == c)
+
+
+@pytest.mark.parametrize("n,undirected_only",
+                         [(n, False) for n in range(1, 17)]
+                         + [(n, True) for n in range(15, 28)])
+def test_spectrum_buckets_match_closed_walk_buckets(n, undirected_only):
+    reps = _survey(n, undirected_only).orbit_reps
+    assert _spectrum_buckets(n, undirected_only, reps) == _walk_buckets(n, reps)
+
+
+def test_spectrum_key_is_characteristic_polynomial_at_r():
+    # the packed lanes against the eigenvalues summed one by one
+    rng = random.Random(27_182_818)
+    P, r = oracle._P, oracle._R
+    cases = [(n, False) for n in range(1, 17)] + [(n, True) for n in range(2, 41, 3)]
+    for n, undirected_only in cases:
+        atoms = _atoms(n, undirected_only)
+        omega = _root_of_unity(n)
+        for _ in range(5):
+            x = rng.randrange(1 << len(atoms))
+            members = [s for i, atom in enumerate(atoms) if x >> i & 1 for s in atom]
+            key = 1
+            for j in range(1, n):
+                key = key * (r - sum(pow(omega, j * s, P) for s in members)) % P
+            # a unit multiplier permutes the eigenvalues
+            images = [_index(atoms, sum(1 << (m * s % n) for s in members))
+                      for m in _units(n)]
+            assert set(_spectrum_keys(n, atoms, [x] + images)) == {key}
+
+
+def test_certificates_per_survey():
+    # only orbits sharing a spectrum bucket are certified
+    want = {(12, False): 100, (14, False): 72, (15, False): 20, (27, True): 24}
+    for (n, undirected_only), certs in want.items():
+        reps = _survey(n, undirected_only).orbit_reps
+        buckets = _spectrum_buckets(n, undirected_only, reps)
+        assert sum(len(b) for b in buckets if len(b) > 1) == certs
+
+
+def test_field_holds_a_root_of_unity_of_every_order_to_40():
+    P = oracle._P
+    assert P == 10 * lcm(*range(1, 41)) + 1 and P.bit_length() == 56
+    assert is_prime(P)
+    # P - 1 factors over the primes below 40; 47 is the least primitive root
+    factors = [q for q in range(2, 41) if is_prime(q)]
+    rest = P - 1
+    for q in factors:
+        while rest % q == 0:
+            rest //= q
+    assert rest == 1
+    assert [g for g in range(2, 48)
+            if all(pow(g, (P - 1) // q, P) != 1 for q in factors)] == [oracle._G]
+    for n in range(1, 41):
+        assert (P - 1) % n == 0
+        omega = _root_of_unity(n)
+        assert pow(omega, n, P) == 1
+        assert all(pow(omega, k, P) != 1 for k in range(1, n))
+    with pytest.raises(ValueError):
+        _root_of_unity(41)
+
+
+def test_oriented_alternating_sum_at_21_by_survey():
+    # rule 6.3's general-order form predicts 0 at 21 (7 is 3 mod 4); the
+    # directed survey, past the public limit, counts 5,005 oriented classes
+    # and c_o(21, -1) = -5
+    oriented = _survey(21, False).select("o")
+    assert len(oriented) == 5005
+    assert sum((-1) ** c.valency for c in oriented) == -5
 
 
 # --- Cayley (multiplier) orbits ------------------------------------------------------
