@@ -23,7 +23,8 @@ when k = 0), prescribed either for x_r itself or for x_r^2; the latter is
 legal only where the exponent on x_r is even, which is asserted rather than
 assumed.  A substitution is therefore plain data, a pair of (coeff, stride,
 square) triples for even and odd r, and each term x_r^e expands directly as
-one binomial row.
+one binomial row; a power sum adds every row, weight folded in, into one
+coefficient list.
 """
 
 from __future__ import annotations
@@ -250,17 +251,30 @@ def power_sum(ci: CycleIndex, subst: Substitution,
     """The undivided sum  sum_{r | n} phi(r) * v_r^((n/r) * exponent_factor).
 
     v_r is the value assigned to x_r; an exponent_factor of p+1 realizes the
-    argument rewriting x_r -> x_r^(p+1) before substitution.
+    argument rewriting x_r -> x_r^(p+1) before substitution.  Every term is
+    one binomial row phi(r) * C(e, j) * coeff^j at z^(step * j), added
+    straight into one accumulator; the parity of every square-valued term is
+    checked before any row is expanded.
     """
-    total = UniPoly()
+    rows = []
     for term in ci.terms:
         r = term.var_index
         coeff, stride, square = subst[r % 2]
         e = term.exponent * exponent_factor
         if square:
             e = half_exponent(e, f"x_{r} of I_{ci.order}")
-        total = total + binomial_power(coeff, stride * r, e).scale(term.weight)
-    return total
+        rows.append((term.weight, coeff, stride * r, e))
+    out = [0] * (max(step * e for _, _, step, e in rows) + 1)
+    for weight, coeff, step, e in rows:
+        if step == 0:
+            out[0] += weight * (1 + coeff) ** e
+            continue
+        # weight * C(e, j) * coeff^j; the division is exact with weight in
+        t = weight
+        for j in range(e + 1):
+            out[step * j] += t
+            t = t * (e - j) * coeff // (j + 1)
+    return UniPoly(out)
 
 
 def paired_power_sum(ci: CycleIndex, subst_x: Substitution,
@@ -312,7 +326,7 @@ class SymPoly:
     def __init__(self, terms: dict[Monomial, Fraction] | None = None):
         clean: dict[Monomial, Fraction] = {}
         for mono, coeff in (terms or {}).items():
-            c = Fraction(coeff)
+            c = coeff if type(coeff) is Fraction else Fraction(coeff)
             if c:
                 clean[mono] = c
         object.__setattr__(self, "terms", clean)
@@ -394,12 +408,12 @@ def to_sym(ci: CycleIndex, rewrite: Rewrite | None = None) -> SymPoly:
     rewrite to None substitutes 0 for the term's variable, dropping it (the
     interleaved-zero argument lists); terms that land on one monomial add up.
     """
-    terms: dict[Monomial, Fraction] = {}
+    weights: dict[Monomial, int] = {}
     for term in ci.terms:
         var = (term.var_index, term.exponent)
         if rewrite is not None:
             var = rewrite(*var)
         if var is not None:
             mono = (var,)
-            terms[mono] = terms.get(mono, 0) + Fraction(term.weight, ci.order)
-    return SymPoly(terms)
+            weights[mono] = weights.get(mono, 0) + term.weight
+    return SymPoly({mono: Fraction(w, ci.order) for mono, w in weights.items()})

@@ -16,6 +16,10 @@ _SMALL_PRIME_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _DETERMINISTIC_BOUND = 1 << 64
 
+# A composite below 41^2 has a prime factor of at most 37, so an n below this
+# that no witness divides is prime.
+_TRIAL_BOUND = 41 * 41
+
 
 def euler_phi(n: int) -> int:
     """Count of units modulo n (order of the multiplicative group Z_n^*)."""
@@ -54,16 +58,20 @@ def divisors(n: int) -> list[int]:
 def is_prime(n: int, rounds: int = 40) -> bool:
     """Miller-Rabin primality test.
 
-    Deterministic (fixed witness set) for n < 2^64.  For larger n the fixed
-    witnesses are topped up with `rounds` extra bases drawn from a PRNG seeded
-    by n itself, so results are reproducible; the error probability is at most
-    4^(-rounds) for composite n.
+    Trial division by the twelve witness primes comes first; it alone decides
+    every n < 41^2 = 1681.  Above that the test is deterministic (fixed
+    witness set) for n < 2^64.  For larger n the fixed witnesses are topped
+    up with `rounds` extra bases drawn from a PRNG seeded by n itself, so
+    results are reproducible; the error probability is at most 4^(-rounds)
+    for composite n.
     """
     if n < 2:
         return False
     for p in _SMALL_PRIME_WITNESSES:
         if n % p == 0:
             return n == p
+    if n < _TRIAL_BOUND:
+        return True
     d = n - 1
     s = 0
     while d % 2 == 0:

@@ -327,7 +327,7 @@ def canonical_form(cs: ConnectionSet) -> bytes:
 # Exhaustive survey of one order
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class _ClassInfo:
     valency: int
     orbit_count: int       # multiplier orbits merged into this class

@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 
 from circenum.algebra import (SymPoly, UniPoly, binomial_power, cycle_index,
-                              half_exponent, paired_power_sum, substitute,
-                              to_sym)
+                              half_exponent, paired_power_sum, power_sum,
+                              substitute, to_sym)
+from circenum.counting import _SUBST
 from circenum.errors import InexactDivisionError, ParityError
 from circenum.numtheory import divisors, euler_phi
 
@@ -152,6 +153,48 @@ def test_square_value_needs_even_exponent():
     # I_4 has the term x_4^1: odd exponent under a square value
     with pytest.raises(ParityError):
         substitute(cycle_index(4), square_two)
+
+
+def power_sum_by_rows(ci, subst, exponent_factor=1):
+    """The reference path: one scaled binomial_power per divisor, summed."""
+    total = UniPoly()
+    for term in ci.terms:
+        r = term.var_index
+        coeff, stride, square = subst[r % 2]
+        e = term.exponent * exponent_factor
+        if square:
+            e = half_exponent(e, f"x_{r} of I_{ci.order}")
+        total = total + binomial_power(coeff, stride * r, e).scale(term.weight)
+    return total
+
+
+# every class substitution, and the plain odd-r one of the order-2p o count
+_DIFF_SUBSTS = dict(_SUBST, o2p=((0, 0, False), (2, 1, False)))
+# p + 1 for the odd primes p up to 43, the lifts of the p^2 formulas
+_LIFTS = [p + 1 for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)]
+
+
+@pytest.mark.parametrize("key", _DIFF_SUBSTS)
+def test_power_sum_matches_binomial_rows(key):
+    subst = _DIFF_SUBSTS[key]
+    # the lifts run on every m <= 44, which holds every cycle order p - 1 and
+    # (p - 1)/2 the p^2 formulas use up to p = 43; all of m <= 200 at every
+    # lift would take about a minute
+    cases = [(m, f) for m in range(1, 201) for f in (1, 2)]
+    cases += [(m, f) for m in range(1, 45) for f in _LIFTS]
+    raised = 0
+    for m, f in cases:
+        ci = cycle_index(m)
+        try:
+            want = power_sum_by_rows(ci, subst, f)
+        except ParityError:
+            raised += 1
+            with pytest.raises(ParityError):
+                power_sum(ci, subst, f)
+            continue
+        assert power_sum(ci, subst, f) == want, (m, f)
+    # a square-valued odd-r term meets an odd exponent at odd m, factor 1
+    assert raised > 0 if any(sq for _, _, sq in subst) else raised == 0
 
 
 def test_paired_power_sum_rejects_mixed_assignments():
