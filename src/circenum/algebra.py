@@ -11,12 +11,15 @@ exactly by n.  This module supplies the three representations involved:
 * UniPoly    -- univariate integer polynomials in z (the counting series),
                 evaluated at -1 as p(-1) and at a square root of -1 as
                 p.at_i();
-* CycleIndex -- the divisor-indexed term list of I_n;
+* CycleIndex -- the divisor-indexed term list of I_n, built from one
+                factorisation of n and cached;
 * SymPoly    -- sparse multivariate polynomials over Q in the formal variables
                 x_1, x_2, ..., used to state and verify identities between
-                cycle indices symbolically.  to_sym renders I_n as one, with
-                each term x_r^e rewritten by a function (r, e) -> (t, f),
-                meaning x_t^f, or dropped.
+                cycle indices symbolically.  The coefficients are integer
+                numerators over one common positive denominator: I_n has the
+                single denominator n, so no per-term fraction is needed.
+                to_sym renders I_n as one, with each term x_r^e rewritten by
+                a function (r, e) -> (t, f), meaning x_t^f, or dropped.
 
 Every value the formulas substitute is a binomial 1 + c*z^(k*r) (a constant
 when k = 0), prescribed either for x_r itself or for x_r^2; the latter is
@@ -29,12 +32,11 @@ coefficient list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Iterable
+from functools import lru_cache
+from math import gcd, lcm
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import InexactDivisionError, ParityError
-from .numtheory import divisors, euler_phi
 
 
 class UniPoly:
@@ -167,8 +169,15 @@ class UniPoly:
         return UniPoly(quot)
 
     def __call__(self, at: int) -> int:
+        cs = self.coeffs
+        if at == 1:
+            return sum(cs)
+        if at == -1:
+            return sum(cs[0::2]) - sum(cs[1::2])
+        if at == 0:
+            return cs[0] if cs else 0
         result = 0
-        for c in reversed(self.coeffs):
+        for c in reversed(cs):
             result = result * at + c
         return result
 
@@ -191,26 +200,42 @@ class UniPoly:
         return f"UniPoly({list(self.coeffs)})"
 
 
-@dataclass(frozen=True)
-class CycleIndexTerm:
+class CycleIndexTerm(NamedTuple):
     var_index: int   # divisor r, the subscript of x_r
     weight: int      # phi(r)
     exponent: int    # n / r
 
 
-@dataclass(frozen=True)
-class CycleIndex:
+class CycleIndex(NamedTuple):
     """The cycle index of the regular cyclic group of order n, term by divisor."""
 
     order: int
     terms: tuple[CycleIndexTerm, ...]
 
 
+@lru_cache(maxsize=256)
 def cycle_index(n: int) -> CycleIndex:
+    """I_n from one trial-division factorisation of n: each prime power p^k
+    extends every divisor d found so far to d*p^j, with phi(d*p^j) =
+    phi(d) * (p-1) * p^(j-1)."""
     if n < 1:
         raise ValueError(f"cycle_index requires n >= 1, got {n}")
-    terms = tuple(CycleIndexTerm(r, euler_phi(r), n // r) for r in divisors(n))
-    return CycleIndex(order=n, terms=terms)
+    pairs = [(1, 1)]    # (divisor, its totient)
+    m, p = n, 2
+    while m > 1:
+        if p * p > m:
+            p = m
+        if m % p == 0:
+            grown, power, phi = [], 1, p - 1
+            while m % p == 0:
+                m //= p
+                power *= p
+                grown += [(d * power, f * phi) for d, f in pairs]
+                phi *= p
+            pairs += grown
+        p += 1 if p == 2 else 2
+    pairs.sort()
+    return CycleIndex(n, tuple(CycleIndexTerm(d, f, n // d) for d, f in pairs))
 
 
 # x_r -> 1 + coeff * z^(stride * r), or x_r^2 -> that value when square is set.
@@ -319,53 +344,77 @@ Monomial = tuple[tuple[int, int], ...]
 
 
 class SymPoly:
-    """Sparse polynomial in x_1, x_2, ... with exact rational coefficients."""
+    """Sparse polynomial in x_1, x_2, ... with exact rational coefficients.
 
-    __slots__ = ("terms",)
+    terms maps each monomial to a nonzero integer numerator over the one
+    positive denominator, so equal polynomials may differ in representation;
+    == cross-multiplies and repr reduces each coefficient.  The constructor
+    takes coefficients with .numerator and .denominator (int or Fraction)
+    and puts them over the lcm of their denominators.
+    """
 
-    def __init__(self, terms: dict[Monomial, Fraction] | None = None):
-        clean: dict[Monomial, Fraction] = {}
-        for mono, coeff in (terms or {}).items():
-            c = coeff if type(coeff) is Fraction else Fraction(coeff)
-            if c:
-                clean[mono] = c
-        object.__setattr__(self, "terms", clean)
+    __slots__ = ("terms", "denominator")
+
+    def __init__(self, terms: dict | None = None):
+        terms = terms or {}
+        common = lcm(*(c.denominator for c in terms.values()))
+        self._fill({mono: c.numerator * (common // c.denominator)
+                    for mono, c in terms.items()}, common)
+
+    def _fill(self, numerators: dict[Monomial, int], denominator: int) -> None:
+        object.__setattr__(self, "terms", {m: c for m, c in numerators.items() if c})
+        object.__setattr__(self, "denominator", denominator)
+
+    @classmethod
+    def _of(cls, numerators: dict[Monomial, int], denominator: int) -> "SymPoly":
+        """Integer numerators over a positive denominator, zeros dropped and
+        nothing else checked."""
+        poly = object.__new__(cls)
+        poly._fill(numerators, denominator)
+        return poly
 
     def __setattr__(self, *a):
         raise AttributeError("SymPoly is immutable")
 
     @classmethod
     def constant(cls, c) -> "SymPoly":
-        return cls({(): Fraction(c)})
+        return cls({(): c})
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, SymPoly) and self.terms == other.terms
+        if not isinstance(other, SymPoly) or self.terms.keys() != other.terms.keys():
+            return False
+        a, b = self.denominator, other.denominator
+        theirs = other.terms
+        return all(c * b == theirs[m] * a for m, c in self.terms.items())
+
+    def _combine(self, other: "SymPoly", sign: int) -> "SymPoly":
+        """self + sign * other over the lcm of the two denominators."""
+        den = lcm(self.denominator, other.denominator)
+        mine, theirs = den // self.denominator, sign * (den // other.denominator)
+        out = {m: c * mine for m, c in self.terms.items()}
+        for m, c in other.terms.items():
+            out[m] = out.get(m, 0) + c * theirs
+        return SymPoly._of(out, den)
 
     def __add__(self, other: "SymPoly") -> "SymPoly":
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            out[mono] = out.get(mono, Fraction(0)) + c
-        return SymPoly(out)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "SymPoly") -> "SymPoly":
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            out[mono] = out.get(mono, Fraction(0)) - c
-        return SymPoly(out)
+        return self._combine(other, -1)
 
     def __mul__(self, other: "SymPoly") -> "SymPoly":
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, int] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 exps = dict(m1)
                 for var, e in m2:
                     exps[var] = exps.get(var, 0) + e
                 mono = tuple(sorted(exps.items()))
-                out[mono] = out.get(mono, Fraction(0)) + c1 * c2
-        return SymPoly(out)
+                out[mono] = out.get(mono, 0) + c1 * c2
+        return SymPoly._of(out, self.denominator * other.denominator)
 
     def __pow__(self, exponent: int) -> "SymPoly":
         if exponent < 0:
@@ -382,18 +431,23 @@ class SymPoly:
         return result
 
     def scale(self, c) -> "SymPoly":
-        factor = Fraction(c)
-        return SymPoly({m: factor * v for m, v in self.terms.items()})
+        """Multiply by c, an int or a Fraction."""
+        num = c.numerator
+        return SymPoly._of({m: v * num for m, v in self.terms.items()},
+                           self.denominator * c.denominator)
 
     def __repr__(self) -> str:
         if not self.terms:
             return "SymPoly(0)"
+        den = self.denominator
         bits = []
         for mono in sorted(self.terms):
             c = self.terms[mono]
+            g = gcd(c, den)
+            coeff = f"{c // g}" if g == den else f"{c // g}/{den // g}"
             vars_ = "*".join(f"x{idx}^{e}" if e > 1 else f"x{idx}"
                              for idx, e in mono)
-            bits.append(f"{c}*{vars_}" if vars_ else f"{c}")
+            bits.append(f"{coeff}*{vars_}" if vars_ else coeff)
         return "SymPoly(" + " + ".join(bits) + ")"
 
 
@@ -416,4 +470,4 @@ def to_sym(ci: CycleIndex, rewrite: Rewrite | None = None) -> SymPoly:
         if var is not None:
             mono = (var,)
             weights[mono] = weights.get(mono, 0) + term.weight
-    return SymPoly({mono: Fraction(w, ci.order) for mono, w in weights.items()})
+    return SymPoly._of(weights, ci.order)

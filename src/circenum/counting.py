@@ -26,8 +26,8 @@ one it always computes.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
 from math import isqrt
+from typing import NamedTuple
 
 from .errors import ConsistencyError, UnsupportedOrderError
 from .algebra import (Substitution, UniPoly, cycle_index, paired_power_sum,
@@ -38,20 +38,29 @@ CLASSES = ("d", "u", "o", "sd", "su", "t")
 VALENCY_CLASSES = ("d", "u", "o")
 
 
-@dataclass(frozen=True)
-class CountResult:
-    """A circulant count: total, optional valency series, and its provenance."""
-
+class _CountFields(NamedTuple):
     order: int
     klass: str
     total: int
     by_valency: UniPoly | None = None
     provenance: str = "formula"
 
-    def __post_init__(self):
-        if self.by_valency is not None and self.by_valency(1) != self.total:
+
+class CountResult(_CountFields):
+    """A circulant count: total, optional valency series, and its provenance.
+
+    The valency series must sum to the total.  _make and _replace skip that
+    check, so nothing here constructs through them.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, order: int, klass: str, total: int,
+                by_valency: UniPoly | None = None, provenance: str = "formula"):
+        if by_valency is not None and by_valency(1) != total:
             raise ConsistencyError(
-                f"valency series sums to {self.by_valency(1)}, total is {self.total}")
+                f"valency series sums to {by_valency(1)}, total is {total}")
+        return super().__new__(cls, order, klass, total, by_valency, provenance)
 
     def to_json(self) -> dict:
         return {

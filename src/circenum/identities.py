@@ -20,8 +20,7 @@ numeric or polynomial.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import UnsupportedOrderError
 from .algebra import UniPoly, cycle_index, half_exponent, to_sym
@@ -33,8 +32,7 @@ from .numtheory import (has_prime_divisor_3_mod_4, is_prime,
 from . import oracle
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     key: str
     order: int
     status: str   # "holds" | "fails" | "not-applicable"
@@ -415,8 +413,7 @@ def _eval_oracle_square(n, allow_oracle):
 _ALWAYS = lambda n, allow_oracle: True
 
 
-@dataclass(frozen=True)
-class _Identity:
+class _Identity(NamedTuple):
     key: str
     description: str
     applies: Callable[[int], bool]

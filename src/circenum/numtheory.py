@@ -7,8 +7,8 @@ All functions are pure and operate on Python integers of arbitrary size.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from math import isqrt
+from typing import NamedTuple
 
 # Deterministic Miller-Rabin witnesses: the twelve primes up to 37 are correct
 # for all n < 3.18 * 10^23; only the 64-bit range is relied on.
@@ -94,8 +94,7 @@ def is_prime(n: int, rounds: int = 40) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class OddPartDecomposition:
+class OddPartDecomposition(NamedTuple):
     """n = odd_part * 2^two_exponent with odd_part odd."""
 
     n: int
@@ -129,8 +128,7 @@ def has_prime_divisor_3_mod_4(n: int) -> bool:
     return m % 4 == 3
 
 
-@dataclass(frozen=True)
-class PrimePair:
+class PrimePair(NamedTuple):
     """A nearly doubled prime pair: p = 2q - 1 with both q and p prime."""
 
     q: int

@@ -29,10 +29,10 @@ graphs up to a few dozen vertices.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, prod
 from sys import byteorder
+from typing import NamedTuple
 
 from .errors import UnsupportedOrderError
 from .counting import CountResult
@@ -42,19 +42,27 @@ DESK_LIMIT = 16        # exhaustive over all 2^(n-1) connection sets
 SLOW_LIMIT = 27        # undirected-only extension behind allow_slow
 
 
-@dataclass(frozen=True)
-class ConnectionSet:
-    """A circulant's defining set: S subset of {1, .., n-1}; arc u -> u+s."""
-
+class _ConnectionFields(NamedTuple):
     order: int
     members: frozenset[int]
 
-    def __post_init__(self):
-        if self.order < 1:
+
+class ConnectionSet(_ConnectionFields):
+    """A circulant's defining set: S subset of {1, .., n-1}; arc u -> u+s.
+
+    _make and _replace skip the range check, so nothing here constructs
+    through them.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, order: int, members: frozenset[int]):
+        if order < 1:
             raise ValueError("order must be positive")
-        for s in self.members:
-            if not 0 < s < self.order:
-                raise ValueError(f"connection set element {s} outside 1..{self.order - 1}")
+        for s in members:
+            if not 0 < s < order:
+                raise ValueError(f"connection set element {s} outside 1..{order - 1}")
+        return super().__new__(cls, order, members)
 
     @classmethod
     def from_mask(cls, order: int, mask: int) -> "ConnectionSet":
@@ -327,14 +335,30 @@ def canonical_form(cs: ConnectionSet) -> bytes:
 # Exhaustive survey of one order
 # ---------------------------------------------------------------------------
 
-@dataclass(slots=True)
 class _ClassInfo:
-    valency: int
-    orbit_count: int       # multiplier orbits merged into this class
-    undirected: bool
-    oriented: bool
-    tournament: bool
-    self_complementary: bool
+    """One class of a survey: a slots class, smaller than a tuple record."""
+
+    __slots__ = ("valency", "orbit_count", "undirected", "oriented",
+                 "tournament", "self_complementary")
+
+    def __init__(self, valency: int, orbit_count: int, undirected: bool,
+                 oriented: bool, tournament: bool, self_complementary: bool):
+        self.valency = valency
+        self.orbit_count = orbit_count   # multiplier orbits merged into this class
+        self.undirected = undirected
+        self.oriented = oriented
+        self.tournament = tournament
+        self.self_complementary = self_complementary
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is _ClassInfo and self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"_ClassInfo({fields})"
 
 
 class _Survey:

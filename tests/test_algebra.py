@@ -28,6 +28,20 @@ def test_unipoly_arithmetic():
     assert UniPoly([1, 2, 3])(10) == 321
 
 
+def test_unipoly_evaluation_fast_paths_match_horner():
+    import random
+    rng = random.Random(20261018)
+    polys = [UniPoly(), UniPoly.constant(-4)]
+    polys += [UniPoly(rng.randrange(-10 ** 6, 10 ** 6) for _ in range(rng.randrange(1, 40)))
+              for _ in range(200)]
+    for p in polys:
+        for at in (1, 0, -1):
+            horner = 0
+            for c in reversed(p.coeffs):
+                horner = horner * at + c
+            assert p(at) == horner, (p, at)
+
+
 def test_unipoly_stretch():
     assert UniPoly([1, 2, 3]).stretch(2).coeffs == (1, 0, 2, 0, 3)
 
@@ -57,8 +71,9 @@ def test_cycle_index_terms():
 
 
 def test_cycle_index_invariants():
-    for n in (1, 2, 7, 36, 100):
+    for n in range(1, 2001):
         ci = cycle_index(n)
+        assert ci.order == n
         assert [t.var_index for t in ci.terms] == divisors(n)
         assert all(t.weight == euler_phi(t.var_index) for t in ci.terms)
         assert all(t.exponent == n // t.var_index for t in ci.terms)

@@ -5,13 +5,15 @@ import pytest
 
 from circenum import counting
 from circenum.algebra import CycleIndex, CycleIndexTerm, UniPoly, cycle_index
-from circenum.counting import (CLASSES, alternating_sum, count_by_formula,
-                               even_odd_split, formal_undirected, formula_kind,
+from circenum.counting import (CLASSES, CountResult, alternating_sum,
+                               count_by_formula, even_odd_split,
+                               formal_undirected, formula_kind,
                                log_concavity_probe, mixed_sd,
                                oriented_alternating_expected, prime_enumerator,
                                prime_squared_enumerator,
                                twice_prime_enumerator)
-from circenum.errors import InexactDivisionError, UnsupportedOrderError
+from circenum.errors import (ConsistencyError, InexactDivisionError,
+                             UnsupportedOrderError)
 from circenum.identities import check
 from circenum.numtheory import is_prime
 
@@ -20,6 +22,21 @@ from golden import COLUMN_CLASSES, TABLE1, TABLE2_D, TABLE2_O, TABLE2_U
 PRIMES_IN_TABLE = [n for n in TABLE1 if n % 2 and is_prime(n)]
 TWICE_PRIMES_IN_TABLE = [n for n in TABLE1
                          if n % 2 == 0 and n // 2 % 2 and is_prime(n // 2)]
+
+
+# --- the result record ---------------------------------------------------------
+
+def test_count_result_is_checked_and_immutable():
+    result = CountResult(5, "d", 6, UniPoly([1, 1, 2, 1, 1]))
+    assert repr(result) == ("CountResult(order=5, klass='d', total=6, "
+                            "by_valency=UniPoly([1, 1, 2, 1, 1]), provenance='formula')")
+    assert CountResult(5, "sd", 2).by_valency is None
+    with pytest.raises(ConsistencyError):
+        CountResult(5, "d", 7, UniPoly([1, 1, 2, 1, 1]))
+    with pytest.raises(AttributeError):
+        result.total = 7
+    with pytest.raises(AttributeError):
+        result.note = "extra"
 
 
 # --- prime order ---------------------------------------------------------------

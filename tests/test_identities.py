@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import sys
@@ -236,7 +235,7 @@ def test_no_memo_outlives_a_sweep(monkeypatch):
         return real_run(p)
 
     monkeypatch.setitem(IDENTITIES, "3.7",
-                        dataclasses.replace(IDENTITIES["3.7"], run=boom))
+                        IDENTITIES["3.7"]._replace(run=boom))
     with pytest.raises(RuntimeError):
         verify_range(keys=("4.1", "3.7"), order_bound=30)
     assert counting._memo is None
