@@ -340,6 +340,20 @@ def test_output_digest_unchanged():
     assert digest.hexdigest() == OUTPUT_DIGEST
 
 
+# SHA-256 over the order-p^2 records past the digest above, as produced by the
+# two-substitution kernel that built y as its own substitution.
+PRIME_SQUARED_DIGEST = "19b609a3dfbca4e9d8340d100ed632e0cd454ddc01bd79aa5d002a081b01bc1d"
+
+
+def test_prime_squared_digest_past_order_400():
+    primes = [p for p in range(23, 62, 2) if is_prime(p)]
+    lines = [json.dumps(prime_squared_enumerator(p, klass).to_json(), sort_keys=True) + "\n"
+             for p in primes for klass in CLASSES]
+    assert len(lines) == 60
+    digest = hashlib.sha256("".join(lines).encode())
+    assert digest.hexdigest() == PRIME_SQUARED_DIGEST
+
+
 def corrupted_cycle_index(n):
     """I_n with the weight of x_1 off by one."""
     first, *rest = cycle_index(n).terms
