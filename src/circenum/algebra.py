@@ -26,8 +26,8 @@ when k = 0), prescribed either for x_r itself or for x_r^2; the latter is
 legal only where the exponent on x_r is even, which is asserted rather than
 assumed.  A substitution is therefore plain data, a pair of (coeff, stride,
 square) triples for even and odd r, and each term x_r^e expands directly as
-one binomial row; a power sum adds every row, weight folded in, into one
-coefficient list.
+one binomial row.  Both power sums add those rows, weight folded in, into one
+coefficient list; the order-p^2 one reads y_r as x_r at z^p.
 """
 
 from __future__ import annotations
@@ -244,21 +244,6 @@ Binomial = tuple[int, int, bool]
 Substitution = tuple[Binomial, Binomial]
 
 
-def binomial_power(coeff: int, stride: int, e: int) -> UniPoly:
-    """(1 + coeff * z^stride)^e as the row C(e, j) * coeff^j at z^(stride * j).
-
-    Stride 0 gives the constant (1 + coeff)^e.
-    """
-    if stride == 0:
-        return UniPoly.constant((1 + coeff) ** e)
-    out = [0] * (stride * e + 1)
-    term = 1
-    for j in range(e + 1):
-        out[stride * j] = term
-        term = term * (e - j) * coeff // (j + 1)
-    return UniPoly(out)
-
-
 def half_exponent(exponent: int, where: str) -> int:
     """Half the exponent, the power a square root at `where` leaves.
 
@@ -271,61 +256,66 @@ def half_exponent(exponent: int, where: str) -> int:
     return exponent // 2
 
 
+def _rows(ci: CycleIndex, subst: Substitution,
+          exponent_factor: int = 1) -> list[tuple[int, int, int, int]]:
+    """(phi(r), coeff, step, e) per term: the term is phi(r) * (1 + coeff *
+    z^step)^e.  The parity of every square-valued term is checked here,
+    before any row is expanded."""
+    rows = []
+    for r, weight, e in ci.terms:
+        coeff, stride, square = subst[r % 2]
+        e *= exponent_factor
+        if square:
+            e = half_exponent(e, f"x_{r} of I_{ci.order}")
+        rows.append((weight, coeff, stride * r, e))
+    return rows
+
+
+def _add_row(out: list[int], t: int, coeff: int, step: int, e: int,
+             offset: int = 0) -> None:
+    """Add t * C(e, j) * coeff^j at z^(offset + step * j), for j = 0..e; the
+    division is exact with any integer t.  Step 0 adds t * (1 + coeff)^e."""
+    if step == 0:
+        out[offset] += t * (1 + coeff) ** e
+        return
+    for j in range(e + 1):
+        out[offset + step * j] += t
+        t = t * (e - j) * coeff // (j + 1)
+
+
 def power_sum(ci: CycleIndex, subst: Substitution,
               exponent_factor: int = 1) -> UniPoly:
     """The undivided sum  sum_{r | n} phi(r) * v_r^((n/r) * exponent_factor).
 
     v_r is the value assigned to x_r; an exponent_factor of p+1 realizes the
     argument rewriting x_r -> x_r^(p+1) before substitution.  Every term is
-    one binomial row phi(r) * C(e, j) * coeff^j at z^(step * j), added
-    straight into one accumulator; the parity of every square-valued term is
-    checked before any row is expanded.
+    one binomial row, weight folded in, added straight into one accumulator.
     """
-    rows = []
-    for term in ci.terms:
-        r = term.var_index
-        coeff, stride, square = subst[r % 2]
-        e = term.exponent * exponent_factor
-        if square:
-            e = half_exponent(e, f"x_{r} of I_{ci.order}")
-        rows.append((term.weight, coeff, stride * r, e))
+    rows = _rows(ci, subst, exponent_factor)
     out = [0] * (max(step * e for _, _, step, e in rows) + 1)
     for weight, coeff, step, e in rows:
-        if step == 0:
-            out[0] += weight * (1 + coeff) ** e
-            continue
-        # weight * C(e, j) * coeff^j; the division is exact with weight in
-        t = weight
-        for j in range(e + 1):
-            out[step * j] += t
-            t = t * (e - j) * coeff // (j + 1)
+        _add_row(out, weight, coeff, step, e)
     return UniPoly(out)
 
 
-def paired_power_sum(ci: CycleIndex, subst_x: Substitution,
-                     subst_y: Substitution) -> UniPoly:
-    """The undivided sum for the interleaved product x_r y_r:
+def paired_power_sum(ci: CycleIndex, subst: Substitution, p: int) -> UniPoly:
+    """The undivided sum for the interleaved product x_r y_r, where y_r is
+    x_r with z replaced by z^p:
 
-        sum_{r | n} phi(r) * (v_r * w_r)^(n/r)
+        sum_{r | n} phi(r) * (v_r(z) * v_r(z^p))^(n/r)
 
-    Square-valued assignments must pair up: sqrt(A)*sqrt(B) = sqrt(A*B), so
-    squares on both sides combine into one square on the product.  The y
-    factor goes on the left of each product, where UniPoly.__mul__ skips its
-    zeros: the y side of the order-p^2 formulas lives on a stride-p grid.
+    A square value stays one: sqrt(A(z)) * sqrt(A(z^p)) = sqrt(A(z) * A(z^p)).
+    The row of v_r(z)^e is added once per coefficient of v_r(z^p)^e.
     """
-    total = UniPoly()
-    for term in ci.terms:
-        r = term.var_index
-        cx, kx, square = subst_x[r % 2]
-        cy, ky, square_y = subst_y[r % 2]
-        if square != square_y:
-            raise ParityError(f"mixed plain/square assignment for x_{r} y_{r}")
-        e = term.exponent
-        if square:
-            e = half_exponent(e, f"x_{r}y_{r} of I_{ci.order}")
-        value = binomial_power(cy, ky * r, e) * binomial_power(cx, kx * r, e)
-        total = total + value.scale(term.weight)
-    return total
+    rows = _rows(ci, subst)
+    out = [0] * ((p + 1) * max(step * e for _, _, step, e in rows) + 1)
+    for weight, coeff, step, e in rows:
+        y = [0] * (e + 1)    # v_r(z^p)^e, one entry per step * p
+        _add_row(y, weight, coeff, 1 if step else 0, e)
+        for i, t in enumerate(y):
+            if t:
+                _add_row(out, t, coeff, step, e, p * step * i)
+    return UniPoly(out)
 
 
 def substitute(ci: CycleIndex, subst: Substitution,

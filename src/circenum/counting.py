@@ -86,8 +86,7 @@ def _require_class(klass: str, allowed=CLASSES) -> None:
 
 # Substitution per class, as (even r, odd r) binomials (coeff, stride, square):
 # x_r -> 1 + coeff * z^(stride * r), or x_r^2 -> that value when square is set.
-# The order-p^2 formulas reuse them with every stride multiplied by p on the
-# y side.
+# The order-p^2 formulas read y_r as x_r with z replaced by z^p.
 _SUBST: dict[str, Substitution] = {
     "d": ((1, 1, False), (1, 1, False)),
     "u": ((1, 2, False), (1, 2, False)),
@@ -131,13 +130,14 @@ def twice_prime_enumerator(p: int, klass: str) -> CountResult:
 
 def _prime_squared_poly(p: int, klass: str) -> UniPoly:
     m = _cycle_order(p, klass)
-    subst_x = _SUBST[klass]
-    subst_y = tuple((coeff, stride * p, square) for coeff, stride, square in subst_x)
+    subst = _SUBST[klass]
     ci = cycle_index(m)
-    lifted = power_sum(ci, subst_x, exponent_factor=p + 1)
-    paired = paired_power_sum(ci, subst_x, subst_y)
-    # y on the left: UniPoly.__mul__ skips the zeros of its left operand
-    split = power_sum(ci, subst_y) * power_sum(ci, subst_x)
+    lifted = power_sum(ci, subst, exponent_factor=p + 1)
+    paired = paired_power_sum(ci, subst, p)
+    x = power_sum(ci, subst)
+    # I_m(y) is I_m(x) at z^p, kept on the left: UniPoly.__mul__ skips the
+    # zeros of its left operand
+    split = x.stretch(p) * x
     # (1/p)I_m(x^(p+1)) - (1/p)I_m(xy) + I_m(x)I_m(y) over the common
     # denominator p*m^2; only the combination is integral, not the parts.
     numerator = lifted.scale(m) - paired.scale(m) + split.scale(p)

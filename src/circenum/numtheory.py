@@ -6,7 +6,6 @@ All functions are pure and operate on Python integers of arbitrary size.
 
 from __future__ import annotations
 
-import random
 from math import isqrt
 from typing import NamedTuple
 
@@ -79,6 +78,7 @@ def is_prime(n: int, rounds: int = 40) -> bool:
         s += 1
     bases = list(_SMALL_PRIME_WITNESSES)
     if n >= _DETERMINISTIC_BOUND:
+        import random   # only this branch needs it; it slows every cold start
         rng = random.Random(n)
         bases += [rng.randrange(2, n - 1) for _ in range(rounds)]
     for a in bases:

@@ -439,6 +439,10 @@ def _survey(n: int, undirected_only: bool) -> _Survey:
 
 
 def _survey_for(n: int, klass: str, allow_slow: bool) -> _Survey:
+    """The survey a reader of order n and class klass selects from; an
+    unknown class or an order out of range raises UnsupportedOrderError."""
+    if klass not in _CLASS_PREDICATES:
+        raise UnsupportedOrderError(f"unknown class {klass!r}")
     if n < 1:
         raise UnsupportedOrderError(f"order must be positive, got {n}")
     if n <= DESK_LIMIT:
@@ -458,8 +462,6 @@ def enumerate_circulants(n: int, klass: str, allow_slow: bool = False) -> CountR
     Valency series included for d, u, o (valency is a class invariant: all
     connection sets of one class share their size).
     """
-    if klass not in _CLASS_PREDICATES:
-        raise UnsupportedOrderError(f"unknown class {klass!r}")
     survey = _survey_for(n, klass, allow_slow)
     chosen = survey.select(klass)
     if klass in ("d", "u", "o"):
@@ -478,13 +480,11 @@ def cayley_classes(n: int, klass: str) -> int:
     testing, so n may reach 40); sd and su need certificates and stay within
     the desk-scale bound.
     """
-    if klass in ("sd", "su"):
+    if klass not in ("d", "u", "o", "t"):
         survey = _survey_for(n, klass, allow_slow=False)
         return sum(c.orbit_count for c in survey.select(klass))
     if not 1 <= n <= 40:
         raise UnsupportedOrderError(f"cayley_classes supports 1 <= n <= 40, got {n}")
-    if klass not in ("d", "u", "o", "t"):
-        raise UnsupportedOrderError(f"unknown class {klass!r}")
     units = _units(n) or [1]  # the unit group mod 1 is trivial
     total = 0
     for m in units:

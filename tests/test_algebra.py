@@ -2,12 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from circenum.algebra import (SymPoly, UniPoly, binomial_power, cycle_index,
-                              half_exponent, paired_power_sum, power_sum,
-                              substitute, to_sym)
+from circenum.algebra import (SymPoly, UniPoly, cycle_index, half_exponent,
+                              paired_power_sum, power_sum, substitute, to_sym)
 from circenum.counting import _SUBST
 from circenum.errors import InexactDivisionError, ParityError
-from circenum.numtheory import divisors, euler_phi
+from circenum.numtheory import divisors, euler_phi, is_prime
 
 
 # --- UniPoly -----------------------------------------------------------------
@@ -118,6 +117,20 @@ def mobius_necklaces(n: int) -> int:
     return total
 
 
+def binomial_power(coeff, stride, e):
+    """(1 + coeff * z^stride)^e as the row C(e, j) * coeff^j at z^(stride * j),
+    the reference the power sums are checked against.  Stride 0 gives the
+    constant (1 + coeff)^e."""
+    if stride == 0:
+        return UniPoly.constant((1 + coeff) ** e)
+    out = [0] * (stride * e + 1)
+    term = 1
+    for j in range(e + 1):
+        out[stride * j] = term
+        term = term * (e - j) * coeff // (j + 1)
+    return UniPoly(out)
+
+
 def constant(a):
     """The substitution x_r -> a for every r."""
     return ((a - 1, 0, False), (a - 1, 0, False))
@@ -168,6 +181,13 @@ def test_square_value_needs_even_exponent():
     # I_4 has the term x_4^1: odd exponent under a square value
     with pytest.raises(ParityError):
         substitute(cycle_index(4), square_two)
+    with pytest.raises(ParityError):
+        power_sum(cycle_index(4), square_two)
+    with pytest.raises(ParityError):
+        paired_power_sum(cycle_index(4), square_two, 3)
+    # the tournament substitution squares odd r: x_1^3 of I_3 is odd
+    with pytest.raises(ParityError):
+        paired_power_sum(cycle_index(3), _SUBST["t"], 5)
 
 
 def power_sum_by_rows(ci, subst, exponent_factor=1):
@@ -212,10 +232,47 @@ def test_power_sum_matches_binomial_rows(key):
     assert raised > 0 if any(sq for _, _, sq in subst) else raised == 0
 
 
-def test_paired_power_sum_rejects_mixed_assignments():
-    square_two = ((1, 0, True), (1, 0, True))
-    with pytest.raises(ParityError):
-        paired_power_sum(cycle_index(2), constant(2), square_two)
+def paired_power_sum_two_substitutions(ci, subst_x, subst_y):
+    """The reference path: y as a second substitution, each term the product
+    of two scaled binomial_power rows."""
+    total = UniPoly()
+    for term in ci.terms:
+        r = term.var_index
+        cx, kx, square = subst_x[r % 2]
+        cy, ky, square_y = subst_y[r % 2]
+        assert square == square_y
+        e = term.exponent
+        if square:
+            e = half_exponent(e, f"x_{r}y_{r} of I_{ci.order}")
+        value = binomial_power(cy, ky * r, e) * binomial_power(cx, kx * r, e)
+        total = total + value.scale(term.weight)
+    return total
+
+
+def stretched(subst, p):
+    """The substitution for y_r: x_r's with every stride multiplied by p."""
+    return tuple((coeff, stride * p, square) for coeff, stride, square in subst)
+
+
+@pytest.mark.parametrize("key", _SUBST)
+def test_paired_power_sum_matches_two_substitutions(key):
+    subst = _SUBST[key]
+    cases = [(m, p) for p in (3, 5) for m in range(1, 101)]
+    cases += [(m, p) for p in range(3, 62, 2) if is_prime(p)
+              for m in (p - 1, (p - 1) // 2)]
+    raised = 0
+    for m, p in cases:
+        ci = cycle_index(m)
+        try:
+            want = paired_power_sum_two_substitutions(ci, subst, stretched(subst, p))
+        except ParityError:
+            raised += 1
+            with pytest.raises(ParityError):
+                paired_power_sum(ci, subst, p)
+            continue
+        assert paired_power_sum(ci, subst, p) == want, (m, p)
+    # a square-valued odd-r term meets an odd exponent at odd m
+    assert raised > 0 if any(sq for _, _, sq in subst) else raised == 0
 
 
 # --- series evaluation ---------------------------------------------------------

@@ -19,14 +19,14 @@ def run(capsys, *argv):
 
 def test_cold_start_imports_stay_small():
     # a fresh interpreter without site: importing the CLI loads none of
-    # these; together they added about 20 ms and 1.7 MB to the start-up of
+    # these; together they added about 25 ms and 1.7 MB to the start-up of
     # every query (two-core x86-64, Python 3.11, no cached bytecode)
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     proc = subprocess.run(
         [sys.executable, "-S", "-c",
          "import sys; from circenum import cli; "
-         "print(sorted({'dataclasses', 'fractions', 'inspect'} & set(sys.modules)))"],
+         "print(sorted({'dataclasses', 'fractions', 'inspect', 'random'} & set(sys.modules)))"],
         env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from circenum import counting, identities
+from circenum.cli import main
 from circenum.errors import UnsupportedOrderError
 from circenum.identities import (IDENTITIES, IDENTITY_KEYS, LEMMA_KEYS,
                                  applicable, check, evaluable, verify_range)
@@ -163,11 +164,18 @@ def test_verify_range_with_oracle_extension():
     assert all(r.status == "holds" for r in reports)
 
 
-def test_reports_serialize():
+def test_reports_serialize(capsys):
     report = check("3.7", 13)
     record = report.to_json()
     assert record["key"] == "3.7" and record["status"] == "holds"
-    assert isinstance(record["elapsed"], float)
+    # the timing stays on the record but out of the JSON
+    assert isinstance(report.elapsed, float) and "elapsed" not in record
+    outputs = []
+    for _ in range(2):
+        assert main(["verify", "--identity", "3.7", "--max", "30",
+                     "--format", "json"]) == 0
+        outputs.append(capsys.readouterr().out.encode())
+    assert outputs[0] and outputs[0] == outputs[1]
 
 
 def test_descriptions_present():

@@ -754,6 +754,14 @@ def test_non_ci_counts_at_nine():
     assert non_ci_count(5, "d") == (0, 0)
 
 
+@pytest.mark.parametrize("reader", [enumerate_circulants, non_ci_count, cayley_classes])
+@pytest.mark.parametrize("n", [9, 50])
+def test_unknown_class_is_unsupported(reader, n):
+    # the class is checked before the order, in the survey lookup they share
+    with pytest.raises(UnsupportedOrderError, match="unknown class 'x'"):
+        reader(n, "x")
+
+
 def test_non_ci_famous_order_8_pair():
     classes, orbits = non_ci_count(8, "d")
     assert (classes, orbits) == (2, 4)
