@@ -3,6 +3,8 @@
 Subcommands: count, table, verify, primes, logconcave.  Exit codes follow a
 stable contract: 0 success / all identities hold, 1 identity or property
 violation, 2 usage error, 3 unsupported order or out-of-range oracle request.
+An unsupported order prints one `error:` line on stderr, from `main`; where
+the subcommand offers --oracle and it was not given, the line suggests it.
 A reader that closes standard output early (as `| head` does) ends the run
 with 141 and no traceback, the status a shell reports for a filter killed by
 SIGPIPE (128 + 13).
@@ -48,8 +50,7 @@ def _default_format() -> str:
 def _get_count(order: int, klass: str, use_oracle: bool, allow_slow: bool):
     if use_oracle:
         return oracle.enumerate_circulants(order, klass, allow_slow=allow_slow)
-    result = count_by_formula(order, klass)
-    return result
+    return count_by_formula(order, klass)
 
 
 def cmd_count(args) -> int:
@@ -57,13 +58,7 @@ def cmd_count(args) -> int:
         print(f"unknown class {args.klass!r}; expected one of {CLASSES}",
               file=sys.stderr)
         return EXIT_USAGE
-    try:
-        result = _get_count(args.order, args.klass, args.oracle, args.allow_slow)
-    except UnsupportedOrderError as exc:
-        print(f"error: {exc}" + ("" if args.oracle else
-                                 " (try --oracle for desk-scale orders)"),
-              file=sys.stderr)
-        return EXIT_UNSUPPORTED
+    result = _get_count(args.order, args.klass, args.oracle, args.allow_slow)
     if (args.poly or args.valency is not None) and result.by_valency is None:
         print(f"class {args.klass!r} has no valency series", file=sys.stderr)
         return EXIT_USAGE
@@ -128,14 +123,8 @@ def cmd_table(args) -> int:
     if klass not in VALENCY_CLASSES:
         print(f"table 2 needs --class d, u or o, got {klass!r}", file=sys.stderr)
         return EXIT_USAGE
-    columns = {}
-    for n in orders:
-        try:
-            result = _get_count(n, klass, args.oracle, args.allow_slow)
-        except UnsupportedOrderError as exc:
-            print(f"error: order {n}: {exc}", file=sys.stderr)
-            return EXIT_UNSUPPORTED
-        columns[n] = result.by_valency
+    columns = {n: _get_count(n, klass, args.oracle, args.allow_slow).by_valency
+               for n in orders}
     top = max(p.degree for p in columns.values())
     # the undirected catalog is laid out by even valency only
     step = 2 if klass == "u" else 1
@@ -216,16 +205,8 @@ def cmd_primes(args) -> int:
 
 
 def cmd_logconcave(args) -> int:
-    try:
-        if args.oracle:
-            series = oracle.enumerate_circulants(args.order, "u",
-                                                 allow_slow=args.allow_slow).by_valency
-            violations = log_concavity_probe(args.order, series)
-        else:
-            violations = log_concavity_probe(args.order)
-    except UnsupportedOrderError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
+    series = _get_count(args.order, "u", args.oracle, args.allow_slow).by_valency
+    violations = log_concavity_probe(args.order, series)
     if args.format == "json":
         print(_json_line({
             "order": args.order,
@@ -240,9 +221,9 @@ def cmd_logconcave(args) -> int:
 
 
 def _add_format_option(subparser) -> None:
-    # accepted after the subcommand too; overrides the top-level value
-    subparser.add_argument("--format", dest="format_override",
-                           choices=FORMATS, default=None)
+    # accepted after the subcommand too; when given there, replaces the
+    # top-level value, and when absent leaves it alone
+    subparser.add_argument("--format", choices=FORMATS, default=argparse.SUPPRESS)
 
 
 def _int_at_least(low: int):
@@ -335,15 +316,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.format_override is not None:
-        args.format = args.format_override
     if args.format not in FORMATS:  # argparse does not check a default
         parser.error(f"CIRCENUM_FORMAT: invalid choice: {args.format!r} "
                      f"(choose from {', '.join(FORMATS)})")
     try:
         return args.func(args)
     except UnsupportedOrderError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a subcommand without --oracle (primes) gets no hint
+        hint = ("" if getattr(args, "oracle", True)
+                else " (try --oracle for desk-scale orders)")
+        print(f"error: {exc}{hint}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     except ValueError as exc:  # a library call rejected an argument
         print(f"error: {exc}", file=sys.stderr)

@@ -35,7 +35,7 @@ from sys import byteorder
 from typing import NamedTuple
 
 from .errors import UnsupportedOrderError
-from .counting import CountResult
+from .counting import VALENCY_CLASSES, CountResult
 from .algebra import UniPoly
 
 DESK_LIMIT = 16        # exhaustive over all 2^(n-1) connection sets
@@ -464,7 +464,7 @@ def enumerate_circulants(n: int, klass: str, allow_slow: bool = False) -> CountR
     """
     survey = _survey_for(n, klass, allow_slow)
     chosen = survey.select(klass)
-    if klass in ("d", "u", "o"):
+    if klass in VALENCY_CLASSES:
         top = max((c.valency for c in chosen), default=0)
         coeffs = [0] * (top + 1)
         for c in chosen:

@@ -190,6 +190,25 @@ def test_logconcave_unsupported(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("argv", [
+    "count --order 15 --class d",
+    "count --order 17 --class u --oracle",
+    "table 2 --orders 7,8 --class u",
+    "table 2 --orders 17 --class u --oracle",
+    "logconcave --order 15",
+    "logconcave --order 17 --oracle",
+])
+def test_unsupported_order_exits_once(capsys, argv):
+    # one error line, from main; the --oracle hint only where it was not given
+    code, out, err = run(capsys, *argv.split())
+    lines = err.splitlines()
+    assert code == 3 and out == ""
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in err
+    hinted = lines[0].endswith(" (try --oracle for desk-scale orders)")
+    assert hinted == ("--oracle" not in argv)
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["count", "--order", "not-a-number", "--class", "d"])
@@ -259,6 +278,13 @@ def test_format_flag_after_subcommand(capsys):
                        "--format", "json")
     assert code == 0
     assert json.loads(out)["provenance"] == "formula"
+    # given on both sides of the subcommand, the later one wins
+    code, out, _ = run(capsys, "--format", "json", "count", "--order", "13",
+                       "--class", "sd", "--format", "text")
+    assert code == 0 and out == "8 (formula)\n"
+    code, out, _ = run(capsys, "--format", "csv", "count", "--order", "13",
+                       "--class", "sd", "--format", "json")
+    assert code == 0 and json.loads(out)["total"] == "8"
 
 
 def test_primes_chain_mr_rounds_flag(capsys):

@@ -1,7 +1,9 @@
+import ast
 import hashlib
 import random
 from itertools import permutations
 from math import lcm
+from pathlib import Path
 
 import pytest
 
@@ -786,3 +788,27 @@ def test_classification_sums_to_sd_total():
 def test_mixed_vanishes_at_primes():
     for p in (5, 7, 11, 13):
         assert classify_self_complementary(p)[2] == 0
+
+
+# --- independence ----------------------------------------------------------------------
+
+def test_oracle_imports_no_formula_theory():
+    # the oracle may take the record type and the class names from counting,
+    # and nothing from the formula or identity sides
+    allowed = {"counting": {"CountResult", "VALENCY_CLASSES"}, "identities": set(),
+               "cli": set()}
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    imported = []  # (module, name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [(alias.name.split(".")[-1], "*") for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = (node.module or "").split(".")[-1]
+            if module in ("", "circenum"):  # from . import counting
+                imported += [(alias.name, "*") for alias in node.names]
+            else:
+                imported += [(module, alias.name) for alias in node.names]
+    bad = [(m, name) for m, name in imported
+           if m in allowed and name not in allowed[m]]
+    assert bad == []
+    assert ("counting", "CountResult") in imported
