@@ -13,10 +13,12 @@ bytearray seen-set and two half-width lookup tables per unit find each orbit
 from its least index.  Orbits are bucketed by their spectrum mod a prime P,
 over which the DFT diagonalises every circulant: the key, the characteristic
 polynomial mod P at a generic point, is an isomorphism invariant, so an
-orbit alone in its bucket is a class of its own.  Within a shared bucket one
-representative per orbit is canonically labeled and orbits sharing a
-certificate form one class: certificates decide every merge, and the
-invariant only ever separates.
+orbit alone in its bucket is a class of its own.  A shared bucket is split
+by a second invariant, the joint spectrum of A and A o A^2 (the adjacency
+matrix and its entrywise product with its square, see _joint_key).  Only
+orbits sharing both keys are canonically labeled, one representative each,
+and orbits sharing a certificate form one class: certificates decide every
+merge, and the invariants only ever separate.
 
 The canonical labeler is a self-contained individualization-refinement
 search over vertex partitions: refinement by out/in neighbour counts (see
@@ -114,6 +116,7 @@ def _adjacency(n: int, members) -> list[int]:
 _P = 53429314570632001          # 10 * lcm(1..40) + 1, a prime
 _G = 47                         # the least primitive root mod P
 _R = 0x9E3779B97F4A7C15 % _P    # a generic point, not a small rational
+_T = 0xC2B2AE3D27D4EB4F % _P    # a second one, the weight of A o A^2
 
 
 def _root_of_unity(n: int) -> int:
@@ -150,6 +153,52 @@ def _spectrum_keys(n: int, atoms: list[set[int]], indices):
     for x in indices:
         packed = lo[x & low] + hi[x >> half]
         yield prod(memoryview(packed.to_bytes(8 * len(lanes), byteorder)).cast("Q")) % _P
+
+
+def _joint_key(n: int):
+    """The function taking the mask of S to det(r I - (A + t A o A^2)) mod P,
+    A the circulant of S.
+
+    A o A^2, the entrywise product, is the circulant weighting each s in S
+    by the pairs (a, b) in S^2 with a + b = s, so A + t A o A^2 has the
+    eigenvalues sum over S of (1 + t w_s) omega^(js), j = 0..n-1.  A
+    relabeling conjugates A, A^2 and their entrywise product alike, so the
+    key is an isomorphism invariant.  A o A^2 alone vanishes for every
+    sum-free S; joined with A it separates orbits that share A's spectrum.
+
+    w_s is digit s of the mask's square with 8-bit digits, folded mod
+    z^n - 1 (each digit counts at most |S| < 256 pairs).  Element s holds its
+    -omega^(js) mod P in 128-bit lanes of one integer; 1 + t w_s < 40 P, so
+    with r added a lane's sum stays below 40 * 40 P^2 + P < 2^128.
+    """
+    omega = _root_of_unity(n)
+    lanes = [sum(-pow(omega, j * s, _P) % _P << 128 * j for j in range(n))
+             for s in range(n)]
+    base = sum(_R << 128 * j for j in range(n))
+    low = (1 << 8 * n) - 1
+
+    def key(mask: int) -> int:
+        members = _mask_to_set(mask)
+        pairs = sum(1 << 8 * s for s in members) ** 2
+        pairs = (pairs & low) + (pairs >> 8 * n)
+        packed = base + sum((1 + _T * (pairs >> 8 * s & 255)) * lanes[s]
+                            for s in members)
+        raw = packed.to_bytes(16 * n, "little")
+        return prod(int.from_bytes(raw[i:i + 16], "little")
+                    for i in range(0, 16 * n, 16)) % _P
+
+    return key
+
+
+def _grouped(ids: list[int], key) -> list[list[int]]:
+    """ids grouped by key(i), each group in the order of ids; a lone id is
+    a group of its own without a call to key."""
+    if len(ids) == 1:
+        return [ids]
+    groups: dict = {}
+    for i in ids:
+        groups.setdefault(key(i), []).append(i)
+    return list(groups.values())
 
 
 def _refine(n: int, out_adj, in_adj, cells, fresh):
@@ -385,23 +434,22 @@ class _Survey:
         mask_lo, mask_hi = _halves([sum(1 << s for s in atom) for atom in atoms])
         orbit_reps = self.orbit_reps = [mask_lo[x & low] + mask_hi[x >> half]
                                         for x in reps]
-        # orbits with distinct spectra mod P are not isomorphic; only orbits
-        # that share a key are told apart or merged by certificates
+        # orbits with distinct spectra mod P are not isomorphic; a shared
+        # spectrum is split by the joint key of A and A o A^2, and only
+        # orbits that share both keys are told apart or merged by certificates
         buckets: dict[int, list[int]] = {}
         for i, key in enumerate(_spectrum_keys(n, atoms, reps)):
             buckets.setdefault(key, []).append(i)
-        groups = []
-        for ids in buckets.values():
-            if len(ids) == 1:
-                groups.append(ids)
-                continue
-            by_cert: dict[bytes, list[int]] = {}
-            for i in ids:
-                cert = canonical_form(ConnectionSet.from_mask(n, orbit_reps[i]))
-                by_cert.setdefault(cert, []).append(i)
-            groups.extend(by_cert.values())
+        joint_key = _joint_key(n)
+        groups = [ids for shared in buckets.values()
+                  for split in _grouped(shared, lambda i: joint_key(orbit_reps[i]))
+                  for ids in _grouped(split, lambda i: canonical_form(
+                      ConnectionSet.from_mask(n, orbit_reps[i])))]
         groups.sort()
-        self.class_of_orbit = {i: c for c, ids in enumerate(groups) for i in ids}
+        class_of_orbit = self.class_of_orbit = [0] * len(reps)
+        for c, ids in enumerate(groups):
+            for i in ids:
+                class_of_orbit[i] = c
         full = (1 << len(atoms)) - 1
         neg_lo, neg_hi = units[-1]      # the unit n - 1 negates
         self.classes: list[_ClassInfo] = []
@@ -409,14 +457,18 @@ class _Survey:
             x = reps[ids[0]]
             neg = neg_lo[x & low] + neg_hi[x >> half]
             valency = orbit_reps[ids[0]].bit_count()
-            # complement preserves eligibility in both modes; the least image
-            # of the complement's index is its orbit's representative
-            comp = min(lo[(x ^ full) & low] + hi[(x ^ full) >> half] for lo, hi in units)
+            middle = 2 * valency == n - 1
+            # a complement has valency n - 1 - valency, so only the middle
+            # valency is looked up; complement preserves eligibility in both
+            # modes, and the least image of the complement's index is its
+            # orbit's representative
+            self_complementary = middle and class_of_orbit[bisect_left(reps, min(
+                lo[(x ^ full) & low] + hi[(x ^ full) >> half] for lo, hi in units))] == c
             self.classes.append(_ClassInfo(
                 valency=valency, orbit_count=len(ids),
                 undirected=neg == x, oriented=not neg & x,
-                tournament=not neg & x and 2 * valency == n - 1,
-                self_complementary=self.class_of_orbit[bisect_left(reps, comp)] == c))
+                tournament=not neg & x and middle,
+                self_complementary=self_complementary))
 
     def select(self, klass: str):
         pred = _CLASS_PREDICATES[klass]

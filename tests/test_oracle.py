@@ -498,7 +498,7 @@ def test_valency_agrees_across_merged_orbits():
     for n in (8, 9, 12, 16):
         survey = _survey(n, False)
         sizes_by_class = {}
-        for orbit_id, class_id in survey.class_of_orbit.items():
+        for orbit_id, class_id in enumerate(survey.class_of_orbit):
             size = bin(survey.orbit_reps[orbit_id]).count("1")
             sizes_by_class.setdefault(class_id, set()).add(size)
         assert all(len(sizes) == 1 for sizes in sizes_by_class.values())
@@ -558,7 +558,7 @@ def _spectrum_buckets(n, undirected_only, reps):
 
 
 @pytest.mark.parametrize("n,undirected_only",
-                         [(n, False) for n in range(1, 15)]
+                         [(n, False) for n in range(1, 17)]
                          + [(n, True) for n in range(15, 25)])
 def test_walk_buckets_match_certifying_every_orbit(n, undirected_only):
     survey = _survey(n, undirected_only)
@@ -568,7 +568,7 @@ def test_walk_buckets_match_certifying_every_orbit(n, undirected_only):
     assert all(rep == min(sum(1 << (m * s % n) for s in range(n) if rep >> s & 1)
                           for m in units) for rep in reps)
     orbits_of_class = {}
-    for orbit, c in survey.class_of_orbit.items():
+    for orbit, c in enumerate(survey.class_of_orbit):
         orbits_of_class.setdefault(c, []).append(orbit)
     got = {frozenset(ids): survey.classes[c] for c, ids in orbits_of_class.items()}
     assert len(got) == len(survey.classes)
@@ -639,7 +639,7 @@ def test_flat_orbit_table_matches_orbit_dict(n, undirected_only):
     assert survey.orbit_reps == reps
     # the complement's orbit, as the dict found it
     first = {}
-    for i, c in sorted(survey.class_of_orbit.items()):
+    for i, c in enumerate(survey.class_of_orbit):
         first.setdefault(c, i)
     full = (1 << n) - 2
     for c, info in enumerate(survey.classes):
@@ -676,12 +676,94 @@ def test_spectrum_key_is_characteristic_polynomial_at_r():
 
 
 def test_certificates_per_survey():
-    # only orbits sharing a spectrum bucket are certified
+    # orbits sharing a spectrum bucket: the spectrum key alone would certify
+    # all of them; the joint key sees only these (see the test below)
     want = {(12, False): 100, (14, False): 72, (15, False): 20, (27, True): 24}
-    for (n, undirected_only), certs in want.items():
+    for (n, undirected_only), shared in want.items():
         reps = _survey(n, undirected_only).orbit_reps
         buckets = _spectrum_buckets(n, undirected_only, reps)
-        assert sum(len(b) for b in buckets if len(b) > 1) == certs
+        assert sum(len(b) for b in buckets if len(b) > 1) == shared
+
+
+def test_certificate_calls_per_survey(monkeypatch):
+    # only orbits sharing both the spectrum key and the joint key are certified
+    calls = []
+    certify = oracle.canonical_form
+    monkeypatch.setattr(oracle, "canonical_form",
+                        lambda cs: calls.append(cs) or certify(cs))
+    want = {(8, False): 4, (12, False): 4, (14, False): 0, (15, False): 0,
+            (16, False): 424, (27, True): 24}
+    got = {}
+    for n, undirected_only in want:
+        calls.clear()
+        oracle._Survey(n, undirected_only)
+        got[n, undirected_only] = len(calls)
+    assert got == want
+
+
+def test_directed_survey_at_18_merges_as_before():
+    """Directed order 18 merges multiplier orbits into classes, so a bucket
+    key that is not an isomorphism invariant would split a class.  SHA-256
+    over the class of every orbit and every class record, as computed with
+    the spectrum key alone."""
+    survey = _survey(18, False)
+    assert (len(survey.orbit_reps), len(survey.classes)) == (22112, 22040)
+    record = repr((survey.class_of_orbit, [c._values() for c in survey.classes]))
+    assert hashlib.sha256(record.encode()).hexdigest() == \
+        "6ae6a5119acdfcd4f665802eab78108669bc15e1292a5c4263901cc8e099cc4f"
+
+
+def _det_mod(matrix, p):
+    """Determinant mod p by Gaussian elimination."""
+    m = [[x % p for x in row] for row in matrix]
+    n, det = len(m), 1
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col]), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det = det * m[col][col] % p
+        inv = pow(m[col][col], -1, p)
+        for r in range(col + 1, n):
+            factor = m[r][col] * inv % p
+            if factor:
+                m[r] = [(x - factor * y) % p for x, y in zip(m[r], m[col])]
+    return det % p
+
+
+def _joint_determinant(adj, p, r, t):
+    """det(r I - (A + t A o A^2)) mod p for a 0/1 matrix A."""
+    n = len(adj)
+    square = [[sum(adj[u][w] * adj[w][v] for w in range(n)) for v in range(n)]
+              for u in range(n)]
+    return _det_mod([[(r if u == v else 0) - adj[u][v] * (1 + t * square[u][v])
+                      for v in range(n)] for u in range(n)], p)
+
+
+def test_joint_key_is_determinant_of_relabeled_digraph():
+    rng = random.Random(16_180_339)
+    P, r, t = oracle._P, oracle._R, oracle._T
+    for _ in range(60):
+        n = rng.randrange(1, 21)
+        members = [s for s in range(1, n) if rng.random() < rng.random()]
+        mask = sum(1 << s for s in members)
+        adj = [[int((v - u) % n in members) for v in range(n)] for u in range(n)]
+        key = oracle._joint_key(n)(mask)
+        assert key == _joint_determinant(adj, P, r, t), (n, members)
+        # any vertex relabeling, not only a multiplier, keeps the key
+        perm = list(range(n))
+        rng.shuffle(perm)
+        relabeled = [[0] * n for _ in range(n)]
+        for u in range(n):
+            for v in range(n):
+                relabeled[perm[u]][perm[v]] = adj[u][v]
+        assert key == _joint_determinant(relabeled, P, r, t), (n, members, perm)
+    # the complete digraphs put the largest sums in the packed lanes
+    for n in (27, 40):
+        adj = [[int(u != v) for v in range(n)] for u in range(n)]
+        assert oracle._joint_key(n)((1 << n) - 2) == _joint_determinant(adj, P, r, t)
 
 
 def test_field_holds_a_root_of_unity_of_every_order_to_40():
