@@ -47,18 +47,14 @@ def _default_format() -> str:
     return os.environ.get("CIRCENUM_FORMAT", "text")
 
 
-def _get_count(order: int, klass: str, use_oracle: bool, allow_slow: bool):
+def _get_count(order: int, klass: str, use_oracle: bool):
     if use_oracle:
-        return oracle.enumerate_circulants(order, klass, allow_slow=allow_slow)
+        return oracle.enumerate_circulants(order, klass)
     return count_by_formula(order, klass)
 
 
 def cmd_count(args) -> int:
-    if args.klass not in CLASSES:
-        print(f"unknown class {args.klass!r}; expected one of {CLASSES}",
-              file=sys.stderr)
-        return EXIT_USAGE
-    result = _get_count(args.order, args.klass, args.oracle, args.allow_slow)
+    result = _get_count(args.order, args.klass, args.oracle)
     if (args.poly or args.valency is not None) and result.by_valency is None:
         print(f"class {args.klass!r} has no valency series", file=sys.stderr)
         return EXIT_USAGE
@@ -80,7 +76,7 @@ def _table1_cell(order: int, klass: str, use_oracle: bool):
     if has_formula(order, klass):
         result = count_by_formula(order, klass)
         return result.total, result.provenance
-    if use_oracle and order <= oracle.DESK_LIMIT:
+    if use_oracle and oracle.covers(order, klass):
         result = oracle.enumerate_circulants(order, klass)
         return result.total, result.provenance
     return None
@@ -123,8 +119,7 @@ def cmd_table(args) -> int:
     if klass not in VALENCY_CLASSES:
         print(f"table 2 needs --class d, u or o, got {klass!r}", file=sys.stderr)
         return EXIT_USAGE
-    columns = {n: _get_count(n, klass, args.oracle, args.allow_slow).by_valency
-               for n in orders}
+    columns = {n: _get_count(n, klass, args.oracle).by_valency for n in orders}
     top = max(p.degree for p in columns.values())
     # the undirected catalog is laid out by even valency only
     step = 2 if klass == "u" else 1
@@ -205,7 +200,7 @@ def cmd_primes(args) -> int:
 
 
 def cmd_logconcave(args) -> int:
-    series = _get_count(args.order, "u", args.oracle, args.allow_slow).by_valency
+    series = _get_count(args.order, "u", args.oracle).by_valency
     violations = log_concavity_probe(args.order, series)
     if args.format == "json":
         print(_json_line({
@@ -224,6 +219,12 @@ def _add_format_option(subparser) -> None:
     # accepted after the subcommand too; when given there, replaces the
     # top-level value, and when absent leaves it alone
     subparser.add_argument("--format", choices=FORMATS, default=argparse.SUPPRESS)
+
+
+def _add_oracle_options(subparser, help=None) -> None:
+    subparser.add_argument("--oracle", action="store_true", help=help)
+    # accepted and ignored: the oracle's whole range needs no gate
+    subparser.add_argument("--allow-slow", action="store_true", help=argparse.SUPPRESS)
 
 
 def _int_at_least(low: int):
@@ -249,14 +250,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_count = sub.add_parser("count", help="count circulants of one order and class")
     p_count.add_argument("--order", type=_int_at_least(1), required=True)
-    p_count.add_argument("--class", dest="klass", required=True)
+    p_count.add_argument("--class", dest="klass", required=True, choices=CLASSES)
     p_count.add_argument("--poly", action="store_true",
                          help="print the valency series")
     p_count.add_argument("--valency", type=_int_at_least(0),
                          help="print one coefficient")
-    p_count.add_argument("--oracle", action="store_true",
-                         help="force brute-force enumeration")
-    p_count.add_argument("--allow-slow", action="store_true")
+    _add_oracle_options(p_count, "force brute-force enumeration")
     _add_format_option(p_count)
     p_count.set_defaults(func=cmd_count)
 
@@ -267,9 +266,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          type=lambda s: [_int_at_least(1)(x) for x in s.split(",")])
     p_table.add_argument("--class", dest="klass", default="u",
                          help="class for table 2 (d, u or o)")
-    p_table.add_argument("--oracle", action="store_true",
-                         help="fill cells without a formula from the oracle")
-    p_table.add_argument("--allow-slow", action="store_true")
+    _add_oracle_options(p_table, "fill cells without a formula from the oracle")
     p_table.add_argument("--strict", action="store_true",
                          help="exit 3 when any cell is unsupported")
     _add_format_option(p_table)
@@ -306,8 +303,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_log = sub.add_parser("logconcave",
                            help="probe the undirected counts for log-concavity")
     p_log.add_argument("--order", type=_int_at_least(1), required=True)
-    p_log.add_argument("--oracle", action="store_true")
-    p_log.add_argument("--allow-slow", action="store_true")
+    _add_oracle_options(p_log)
     _add_format_option(p_log)
     p_log.set_defaults(func=cmd_logconcave)
     return parser

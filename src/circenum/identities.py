@@ -9,8 +9,9 @@ scope, which sits in front of the enumerator calls: a hit there is the frozen
 CountResult a pure function would recompute, and the memo holds only the
 results needed at one sweep order: a few (order, class) entries for n, n+1,
 (n+1)/2, or p and p^2.  Orders that counting.has_formula does not cover
-fall back to the exhaustive oracle where desk-scale allows (order 2, and
-optionally small orders).
+fall back to the exhaustive oracle where oracle.covers says it answers:
+always for (p+1)/2 = 2 and for the non-CI counts at p^2 = 9, and at the
+other orders with allow_oracle (verify --oracle).
 
 The four L2.* keys are cycle-index lemmas checked symbolically over the
 formal variables x_1, x_2, ... at a parameter m >= 1; everything else is
@@ -392,15 +393,11 @@ def _app_3_5(n):
     return p is not None and p % 4 == 3
 
 
-def _app_3_8(n):
-    # even orders: a formula at twice an odd prime, the oracle at 4, 8, 12
-    return n in (4, 8, 12) or (n % 2 == 0 and has_formula(n, "u"))
-
-
 def _formula_or_desk_oracle(klass):
-    """Evaluable where a closed form covers the class, or the oracle may run."""
+    """Evaluable where a closed form covers the class, or the oracle may run
+    and covers it."""
     return lambda n, allow_oracle: (has_formula(n, klass)
-                                    or (allow_oracle and n <= oracle.DESK_LIMIT))
+                                    or (allow_oracle and oracle.covers(n, klass)))
 
 
 def _app_prime_square(n):
@@ -408,7 +405,9 @@ def _app_prime_square(n):
 
 
 def _eval_oracle_square(n, allow_oracle):
-    return n <= oracle.DESK_LIMIT
+    # only the oracle gives the non-CI counts of sd, su and t, so 5.2 and 5.4
+    # run it even without allow_oracle
+    return oracle.covers(n, "sd")
 
 
 _ALWAYS = lambda n, allow_oracle: True
@@ -435,8 +434,8 @@ _REGISTRY = [
     _Identity("3.6", "C_su(p) = C_t((p+1)/2) when p = 5 mod 8",
               lambda n: _half_successor_prime(n) and n % 8 == 5, _check_3_6),
     _Identity("3.7", "C_sd(p) = C_t(p) + C_su(p)", _odd_prime, _check_3_7),
-    _Identity("3.8", "C_u(2n, 2r+1) = C_u(2n, 2r)", _app_3_8, _check_3_8,
-              _formula_or_desk_oracle("u")),
+    _Identity("3.8", "C_u(2n, 2r+1) = C_u(2n, 2r)",
+              lambda n: n >= 2 and n % 2 == 0, _check_3_8, _formula_or_desk_oracle("u")),
     _Identity("4.1", "2 C_sd(p) = C_u(p) + C_su(p)", _odd_prime, _check_4_1),
     _Identity("4.1'", "C_u(p) = 2 C_sd(p) = 2 C_t(p) when p = 3 mod 4",
               lambda n: _odd_prime(n) and n % 4 == 3, _check_4_1p),

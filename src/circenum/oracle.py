@@ -7,6 +7,10 @@ and each orbit is represented by its least mask.  Nothing here assumes the
 converse (that isomorphic circulants are multiplier related), so the oracle
 is a genuine cross-check for the formulas.
 
+covers(n, klass) is the oracle's range: every class to order 16, and class
+u, surveyed over negation-closed sets only, to 27.  cayley_classes counts
+d, u, o and t by Burnside, without a survey, at any order.
+
 A survey indexes the eligible sets by bits over atoms (elements, or pairs
 {s, n-s} when undirected) so that ascending indices are ascending masks; a
 bytearray seen-set and two half-width lookup tables per unit find each orbit
@@ -40,8 +44,8 @@ from .errors import UnsupportedOrderError
 from .counting import VALENCY_CLASSES, CountResult
 from .algebra import UniPoly
 
-DESK_LIMIT = 16        # exhaustive over all 2^(n-1) connection sets
-SLOW_LIMIT = 27        # undirected-only extension behind allow_slow
+_DIRECTED_LIMIT = 16    # every class: all 2^(n-1) connection sets
+_UNDIRECTED_LIMIT = 27  # class u: the 2^(n//2) unions of pairs {s, n-s}
 
 
 class _ConnectionFields(NamedTuple):
@@ -490,31 +494,28 @@ def _survey(n: int, undirected_only: bool) -> _Survey:
     return _Survey(n, undirected_only)
 
 
-def _survey_for(n: int, klass: str, allow_slow: bool) -> _Survey:
+def covers(n: int, klass: str) -> bool:
+    """Does the oracle answer at order n for the class?"""
+    return 1 <= n <= (_UNDIRECTED_LIMIT if klass == "u" else _DIRECTED_LIMIT)
+
+
+def _survey_for(n: int, klass: str) -> _Survey:
     """The survey a reader of order n and class klass selects from; an
     unknown class or an order out of range raises UnsupportedOrderError."""
     if klass not in _CLASS_PREDICATES:
         raise UnsupportedOrderError(f"unknown class {klass!r}")
-    if n < 1:
-        raise UnsupportedOrderError(f"order must be positive, got {n}")
-    if n <= DESK_LIMIT:
-        return _survey(n, False)
-    if klass == "u" and n <= SLOW_LIMIT:
-        if not allow_slow:
-            raise UnsupportedOrderError(
-                f"order {n} exceeds the desk-scale bound {DESK_LIMIT}; "
-                f"undirected enumeration up to {SLOW_LIMIT} needs allow_slow")
-        return _survey(n, True)
-    raise UnsupportedOrderError(f"order {n} out of oracle range for class {klass!r}")
+    if not covers(n, klass):
+        raise UnsupportedOrderError(f"order {n} out of oracle range for class {klass!r}")
+    return _survey(n, n > _DIRECTED_LIMIT)
 
 
-def enumerate_circulants(n: int, klass: str, allow_slow: bool = False) -> CountResult:
+def enumerate_circulants(n: int, klass: str) -> CountResult:
     """Count isomorphism classes of order-n circulants in the given class.
 
     Valency series included for d, u, o (valency is a class invariant: all
     connection sets of one class share their size).
     """
-    survey = _survey_for(n, klass, allow_slow)
+    survey = _survey_for(n, klass)
     chosen = survey.select(klass)
     if klass in VALENCY_CLASSES:
         top = max((c.valency for c in chosen), default=0)
@@ -529,14 +530,14 @@ def cayley_classes(n: int, klass: str) -> int:
     """Orbits of class-eligible connection sets under S -> m*S, m a unit.
 
     d, u, o, t are counted by Burnside over the unit group (no isomorphism
-    testing, so n may reach 40); sd and su need certificates and stay within
-    the desk-scale bound.
+    testing, so any order is cheap); sd and su need certificates and stay
+    within the oracle's range.
     """
     if klass not in ("d", "u", "o", "t"):
-        survey = _survey_for(n, klass, allow_slow=False)
+        survey = _survey_for(n, klass)
         return sum(c.orbit_count for c in survey.select(klass))
-    if not 1 <= n <= 40:
-        raise UnsupportedOrderError(f"cayley_classes supports 1 <= n <= 40, got {n}")
+    if n < 1:
+        raise UnsupportedOrderError(f"order must be positive, got {n}")
     units = _units(n) or [1]  # the unit group mod 1 is trivial
     total = 0
     for m in units:
@@ -585,7 +586,7 @@ def _negation_pairing(n: int, cycles) -> tuple[int, int]:
 
 def non_ci_count(n: int, klass: str) -> tuple[int, int]:
     """(classes merging >= 2 multiplier orbits, orbits inside such classes)."""
-    survey = _survey_for(n, klass, allow_slow=False)
+    survey = _survey_for(n, klass)
     multi = [c for c in survey.select(klass) if c.orbit_count >= 2]
     return len(multi), sum(c.orbit_count for c in multi)
 
@@ -595,7 +596,7 @@ def classify_self_complementary(n: int) -> tuple[int, int, int]:
     into (undirected, tournament, mixed)."""
     if n % 2 == 0:
         raise UnsupportedOrderError("self-complementary classification needs odd order")
-    survey = _survey_for(n, "sd", allow_slow=False)
+    survey = _survey_for(n, "sd")
     undirected = tournament = mixed = 0
     for c in survey.select("sd"):
         if c.undirected:

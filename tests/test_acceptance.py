@@ -179,6 +179,6 @@ def test_criterion_10_log_concavity():
             assert 2 in [v[0] for v in violations], n
         for p in (pp for pp in range(5, 200) if is_prime(pp)):
             assert log_concavity_probe(p) == [], p
-        series = enumerate_circulants(27, "u", allow_slow=True).by_valency
+        series = enumerate_circulants(27, "u").by_valency
         violations = log_concavity_probe(27, series)
         assert 2 in [v[0] for v in violations]

@@ -77,6 +77,21 @@ def test_table1_oracle_matches_catalog(capsys):
         assert [int(x) for x in fields[1:]] == expected, n
 
 
+def test_table1_oracle_fills_undirected_cells_to_27(capsys):
+    # past 16 the oracle answers class u alone; the other columns stay n/a
+    code, out, _ = run(capsys, "table", "1", "--orders", "18,20,21", "--oracle")
+    assert code == 0
+    for line, n in zip(out.splitlines()[1:], (18, 20, 21), strict=True):
+        assert line.split("\t") == [str(n), "n/a", str(TABLE1[n][1])] + ["n/a"] * 4
+
+
+def test_allow_slow_is_accepted_and_ignored(capsys):
+    argv = ["count", "--order", "22", "--class", "u", "--oracle", "--poly"]
+    plain = run(capsys, *argv)
+    assert plain == run(capsys, *argv, "--allow-slow")
+    assert plain[0] == 0 and plain[1].endswith(" (oracle)\n")
+
+
 def test_table1_unsupported_rows_marked(capsys):
     code, out, _ = run(capsys, "table", "1", "--orders", "50")
     assert code == 0
@@ -192,11 +207,11 @@ def test_logconcave_unsupported(capsys):
 
 @pytest.mark.parametrize("argv", [
     "count --order 15 --class d",
-    "count --order 17 --class u --oracle",
+    "count --order 28 --class u --oracle",
     "table 2 --orders 7,8 --class u",
-    "table 2 --orders 17 --class u --oracle",
+    "table 2 --orders 28 --class u --oracle",
     "logconcave --order 15",
-    "logconcave --order 17 --oracle",
+    "logconcave --order 28 --oracle",
 ])
 def test_unsupported_order_exits_once(capsys, argv):
     # one error line, from main; the --oracle hint only where it was not given
@@ -220,6 +235,7 @@ def test_usage_error_exit_code(capsys):
     "primes --nearly-doubled --limit 1",
     "count --order -3 --class d",
     "count --order 13 --class d --valency -1",
+    "count --order 13 --class xx",
     "primes --chain --ptilde 3 --kmax -5",
     "table 1 --orders 0 --oracle",
     "verify --all --max -5",

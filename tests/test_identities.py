@@ -39,6 +39,9 @@ def test_evaluable_vs_applicable():
     assert not evaluable("3.4", 15)
     assert evaluable("5.2", 9) and not evaluable("5.2", 25)
     assert evaluable("3.8", 8, allow_oracle=True) and not evaluable("3.8", 8)
+    # 3.8 applies at every even order; the undirected oracle reaches 24, not 28
+    assert applicable("3.8", 28) and not evaluable("3.8", 28, allow_oracle=True)
+    assert evaluable("3.8", 24, allow_oracle=True)
 
 
 def test_check_not_applicable_is_clean():
@@ -160,7 +163,7 @@ def test_verify_range_deterministic_order():
 
 def test_verify_range_with_oracle_extension():
     reports = verify_range(keys=("3.8",), order_bound=12, allow_oracle=True)
-    assert [r.order for r in reports] == [4, 6, 8, 10, 12]
+    assert [r.order for r in reports] == [2, 4, 6, 8, 10, 12]
     assert all(r.status == "holds" for r in reports)
 
 
@@ -184,14 +187,16 @@ def test_descriptions_present():
 
 def test_verify_digest_unchanged():
     # SHA-256 of every report of the order-300 sweep with lemmas to 128 and
-    # the oracle extension (1,535 reports), computed before the registry
-    # refactor that folded the lemmas and formula coverage into one path
+    # the oracle extension (1,540 reports).  Without the 3.8 rows at 2, 16,
+    # 18, 20 and 24 the other 1,535 hash to 7be44109..., the digest computed
+    # before the registry refactor that folded the lemmas and formula
+    # coverage into one path
     reports = verify_range(order_bound=300, lemma_bound=128, allow_oracle=True)
-    assert len(reports) == 1535
+    assert len(reports) == 1540
     text = "\n".join(json.dumps([r.key, r.order, r.status, r.lhs, r.rhs])
                      for r in reports)
     assert hashlib.sha256(text.encode()).hexdigest() == \
-        "7be44109502e8c2f5f1c9598803505e5e59ec27c58da29d3fab4602ef02f6721"
+        "3c3603fab1755ea3b278ff21aab45513ac23b9ee287f73c02eaaa59c18020e83"
 
 
 # --- the per-order enumerator memo ----------------------------------------------
@@ -224,7 +229,7 @@ def test_sweep_reports_equal_standalone_checks():
     # a memo hit must equal a recomputation: every report of the sweep
     # matches the same check run alone, outside any sweep
     reports = verify_range(order_bound=300, lemma_bound=128, allow_oracle=True)
-    assert len(reports) == 1535
+    assert len(reports) == 1540
     for r in reports:
         alone = check(r.key, r.order, allow_oracle=True)
         assert (alone.status, alone.lhs, alone.rhs) == (r.status, r.lhs, r.rhs), \

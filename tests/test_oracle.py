@@ -408,7 +408,7 @@ def test_printed_oriented_counts_at_ci_orders():
     # so every printed oriented cell that differs from it is a misprint
     differing = set()
     for n in sorted(TABLE1):
-        if n <= 40 and _is_ci_order(n):
+        if _is_ci_order(n):
             orbits = cayley_classes(n, "o")
             if orbits != TABLE1[n][2]:
                 differing.add(n)
@@ -470,12 +470,22 @@ def test_oracle_single_vertex():
 
 
 def test_oracle_range_errors():
+    assert enumerate_circulants(27, "u").total == 928
     with pytest.raises(UnsupportedOrderError):
         enumerate_circulants(17, "d")
     with pytest.raises(UnsupportedOrderError):
-        enumerate_circulants(27, "u")  # needs allow_slow
-    with pytest.raises(UnsupportedOrderError):
-        enumerate_circulants(28, "u", allow_slow=True)
+        enumerate_circulants(28, "u")
+
+
+@pytest.mark.parametrize("klass", COLUMN_CLASSES)
+def test_covers_is_where_the_oracle_answers(klass):
+    for n in range(29):
+        try:
+            enumerate_circulants(n, klass)
+            answers = True
+        except UnsupportedOrderError:
+            answers = False
+        assert oracle.covers(n, klass) == answers, (n, klass)
 
 
 # --- complementation and valency invariants ----------------------------------------
@@ -819,6 +829,8 @@ def test_cayley_burnside_matches_direct_merge():
 def test_cayley_classes_beyond_desk_scale():
     # Burnside path only: large n stays cheap for d/u/o/t
     assert cayley_classes(40, "d") > 0
+    with pytest.raises(UnsupportedOrderError):
+        cayley_classes(0, "d")
     with pytest.raises(UnsupportedOrderError):
         cayley_classes(40, "sd")
 
