@@ -4,7 +4,8 @@ Subcommands: count, table, verify, primes, logconcave.  Exit codes follow a
 stable contract: 0 success / all identities hold, 1 identity or property
 violation, 2 usage error, 3 unsupported order or out-of-range oracle request.
 An unsupported order prints one `error:` line on stderr, from `main`; where
-the subcommand offers --oracle and it was not given, the line suggests it.
+--oracle was not given and the oracle covers the order and class, the line
+suggests it.
 A reader that closes standard output early (as `| head` does) ends the run
 with 141 and no traceback, the status a shell reports for a filter killed by
 SIGPIPE (128 + 13).
@@ -50,7 +51,12 @@ def _default_format() -> str:
 def _get_count(order: int, klass: str, use_oracle: bool):
     if use_oracle:
         return oracle.enumerate_circulants(order, klass)
-    return count_by_formula(order, klass)
+    try:
+        return count_by_formula(order, klass)
+    except UnsupportedOrderError as exc:
+        if not oracle.covers(order, klass):
+            raise
+        raise UnsupportedOrderError(f"{exc} (try --oracle for desk-scale orders)") from None
 
 
 def cmd_count(args) -> int:
@@ -318,10 +324,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except UnsupportedOrderError as exc:
-        # a subcommand without --oracle (primes) gets no hint
-        hint = ("" if getattr(args, "oracle", True)
-                else " (try --oracle for desk-scale orders)")
-        print(f"error: {exc}{hint}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     except ValueError as exc:  # a library call rejected an argument
         print(f"error: {exc}", file=sys.stderr)

@@ -24,6 +24,13 @@ orbits sharing both keys are canonically labeled, one representative each,
 and orbits sharing a certificate form one class: certificates decide every
 merge, and the invariants only ever separate.
 
+A survey keys and certifies only the orbits with at most half the atoms.
+Complementation maps classes of valency k onto classes of valency n-1-k and
+orbits onto orbits, so each class above the middle is the complement of one
+below it, orbit by orbit.  A tournament or self-complementary circulant has
+valency (n-1)/2, so at even n the classes t, sd and su are empty and are
+answered without a survey.
+
 The canonical labeler is a self-contained individualization-refinement
 search over vertex partitions: refinement by out/in neighbour counts (see
 _refine), branching on the smallest non-singleton cell, the lexicographically
@@ -428,51 +435,64 @@ class _Survey:
         units = [_halves([1 << bit_of[m * min(atom) % n] for atom in atoms])
                  for m in _units(n) or [1]]
         half, low = len(atoms) // 2, (1 << len(atoms) // 2) - 1
+        full = (1 << len(atoms)) - 1
         seen = bytearray(1 << len(atoms))
-        reps, x = [], 0
+        # complementing indices reverses their order, so the complement
+        # orbit's least index is full ^ (the orbit's greatest); only the
+        # lower orbits, with at most half the atoms, need that link
+        reps, complement, x = [], {}, 0
         while x >= 0:
+            if 2 * x.bit_count() <= len(atoms):
+                images = [lo[x & low] + hi[x >> half] for lo, hi in units]
+                for y in images:
+                    seen[y] = 1
+                complement[len(reps)] = full ^ max(images)
+            else:
+                for lo, hi in units:
+                    seen[lo[x & low] + hi[x >> half]] = 1
             reps.append(x)
-            for lo, hi in units:
-                seen[lo[x & low] + hi[x >> half]] = 1
             x = seen.find(0, x + 1)
+        for i, y in complement.items():     # least index -> orbit
+            complement[i] = bisect_left(reps, y)
         mask_lo, mask_hi = _halves([sum(1 << s for s in atom) for atom in atoms])
         orbit_reps = self.orbit_reps = [mask_lo[x & low] + mask_hi[x >> half]
                                         for x in reps]
-        # orbits with distinct spectra mod P are not isomorphic; a shared
+        # lower orbits with distinct spectra mod P are not isomorphic; a shared
         # spectrum is split by the joint key of A and A o A^2, and only
         # orbits that share both keys are told apart or merged by certificates
         buckets: dict[int, list[int]] = {}
-        for i, key in enumerate(_spectrum_keys(n, atoms, reps)):
+        keys = _spectrum_keys(n, atoms, (reps[i] for i in complement))
+        for i, key in zip(complement, keys):
             buckets.setdefault(key, []).append(i)
         joint_key = _joint_key(n)
         groups = [ids for shared in buckets.values()
                   for split in _grouped(shared, lambda i: joint_key(orbit_reps[i]))
                   for ids in _grouped(split, lambda i: canonical_form(
                       ConnectionSet.from_mask(n, orbit_reps[i])))]
+        # complementation is a bijection on classes that maps orbits to
+        # orbits, so each class above the middle is, orbit by orbit, the
+        # complement of one below it (a middle class's is at the middle)
+        groups += [sorted(complement[i] for i in ids) for ids in groups
+                   if 2 * reps[ids[0]].bit_count() < len(atoms)]
         groups.sort()
         class_of_orbit = self.class_of_orbit = [0] * len(reps)
         for c, ids in enumerate(groups):
             for i in ids:
                 class_of_orbit[i] = c
-        full = (1 << len(atoms)) - 1
         neg_lo, neg_hi = units[-1]      # the unit n - 1 negates
         self.classes: list[_ClassInfo] = []
         for c, ids in enumerate(groups):
             x = reps[ids[0]]
             neg = neg_lo[x & low] + neg_hi[x >> half]
             valency = orbit_reps[ids[0]].bit_count()
+            # a complement has valency n - 1 - valency, so only a class at
+            # the middle valency, whose orbits are all lower, can be its own
             middle = 2 * valency == n - 1
-            # a complement has valency n - 1 - valency, so only the middle
-            # valency is looked up; complement preserves eligibility in both
-            # modes, and the least image of the complement's index is its
-            # orbit's representative
-            self_complementary = middle and class_of_orbit[bisect_left(reps, min(
-                lo[(x ^ full) & low] + hi[(x ^ full) >> half] for lo, hi in units))] == c
             self.classes.append(_ClassInfo(
                 valency=valency, orbit_count=len(ids),
                 undirected=neg == x, oriented=not neg & x,
                 tournament=not neg & x and middle,
-                self_complementary=self_complementary))
+                self_complementary=middle and class_of_orbit[complement[ids[0]]] == c))
 
     def select(self, klass: str):
         pred = _CLASS_PREDICATES[klass]
@@ -499,14 +519,18 @@ def covers(n: int, klass: str) -> bool:
     return 1 <= n <= (_UNDIRECTED_LIMIT if klass == "u" else _DIRECTED_LIMIT)
 
 
-def _survey_for(n: int, klass: str) -> _Survey:
-    """The survey a reader of order n and class klass selects from; an
-    unknown class or an order out of range raises UnsupportedOrderError."""
+def _chosen(n: int, klass: str) -> list[_ClassInfo]:
+    """The classes of order n in klass; an unknown class or an order out of
+    range raises UnsupportedOrderError.  A tournament or self-complementary
+    circulant has valency (n - 1)/2, so at even n those classes are empty
+    without a survey."""
     if klass not in _CLASS_PREDICATES:
         raise UnsupportedOrderError(f"unknown class {klass!r}")
     if not covers(n, klass):
         raise UnsupportedOrderError(f"order {n} out of oracle range for class {klass!r}")
-    return _survey(n, n > _DIRECTED_LIMIT)
+    if n % 2 == 0 and klass in ("t", "sd", "su"):
+        return []
+    return _survey(n, n > _DIRECTED_LIMIT).select(klass)
 
 
 def enumerate_circulants(n: int, klass: str) -> CountResult:
@@ -515,8 +539,7 @@ def enumerate_circulants(n: int, klass: str) -> CountResult:
     Valency series included for d, u, o (valency is a class invariant: all
     connection sets of one class share their size).
     """
-    survey = _survey_for(n, klass)
-    chosen = survey.select(klass)
+    chosen = _chosen(n, klass)
     if klass in VALENCY_CLASSES:
         top = max((c.valency for c in chosen), default=0)
         coeffs = [0] * (top + 1)
@@ -534,8 +557,7 @@ def cayley_classes(n: int, klass: str) -> int:
     within the oracle's range.
     """
     if klass not in ("d", "u", "o", "t"):
-        survey = _survey_for(n, klass)
-        return sum(c.orbit_count for c in survey.select(klass))
+        return sum(c.orbit_count for c in _chosen(n, klass))
     if n < 1:
         raise UnsupportedOrderError(f"order must be positive, got {n}")
     units = _units(n) or [1]  # the unit group mod 1 is trivial
@@ -586,8 +608,7 @@ def _negation_pairing(n: int, cycles) -> tuple[int, int]:
 
 def non_ci_count(n: int, klass: str) -> tuple[int, int]:
     """(classes merging >= 2 multiplier orbits, orbits inside such classes)."""
-    survey = _survey_for(n, klass)
-    multi = [c for c in survey.select(klass) if c.orbit_count >= 2]
+    multi = [c for c in _chosen(n, klass) if c.orbit_count >= 2]
     return len(multi), sum(c.orbit_count for c in multi)
 
 
@@ -596,9 +617,8 @@ def classify_self_complementary(n: int) -> tuple[int, int, int]:
     into (undirected, tournament, mixed)."""
     if n % 2 == 0:
         raise UnsupportedOrderError("self-complementary classification needs odd order")
-    survey = _survey_for(n, "sd")
     undirected = tournament = mixed = 0
-    for c in survey.select("sd"):
+    for c in _chosen(n, "sd"):
         if c.undirected:
             undirected += 1
         elif c.tournament:

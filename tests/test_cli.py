@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from circenum import oracle
 from circenum.cli import main
 
 from golden import ORIENTED_CORRECTIONS, TABLE1, TABLE2_U
@@ -64,7 +65,8 @@ def test_count_poly_rejected_for_totals_only_class(capsys):
 
 
 def test_table1_oracle_matches_catalog(capsys):
-    code, out, _ = run(capsys, "table", "1", "--max", "14", "--oracle")
+    # the benchmark's query; 15 is the first row with oracle t, sd and su cells
+    code, out, _ = run(capsys, "table", "1", "--max", "15", "--oracle")
     assert code == 0
     lines = out.strip().split("\n")
     assert lines[0].split("\t") == ["n", "C_d", "C_u", "C_o", "C_sd", "C_su", "C_t"]
@@ -205,23 +207,31 @@ def test_logconcave_unsupported(capsys):
     assert code == 3
 
 
-@pytest.mark.parametrize("argv", [
-    "count --order 15 --class d",
-    "count --order 28 --class u --oracle",
-    "table 2 --orders 7,8 --class u",
-    "table 2 --orders 28 --class u --oracle",
-    "logconcave --order 15",
-    "logconcave --order 28 --oracle",
-])
-def test_unsupported_order_exits_once(capsys, argv):
-    # one error line, from main; the --oracle hint only where it was not given
+_UNSUPPORTED = [  # (argv, the order and class that fail)
+    ("count --order 15 --class d", 15, "d"),
+    ("count --order 28 --class u --oracle", 28, "u"),
+    ("count --order 30 --class d", 30, "d"),
+    ("table 2 --orders 7,8 --class u", 8, "u"),
+    ("table 2 --orders 28 --class u --oracle", 28, "u"),
+    ("table 2 --orders 30 --class u", 30, "u"),
+    ("logconcave --order 15", 15, "u"),
+    ("logconcave --order 28 --oracle", 28, "u"),
+    ("logconcave --order 30", 30, "u"),
+]
+
+
+@pytest.mark.parametrize("argv,order,klass", _UNSUPPORTED,
+                         ids=[argv for argv, _, _ in _UNSUPPORTED])
+def test_unsupported_order_exits_once(capsys, argv, order, klass):
+    # one error line, from main; the --oracle hint only where it was not
+    # given and the oracle covers the failing order
     code, out, err = run(capsys, *argv.split())
     lines = err.splitlines()
     assert code == 3 and out == ""
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "Traceback" not in err
     hinted = lines[0].endswith(" (try --oracle for desk-scale orders)")
-    assert hinted == ("--oracle" not in argv)
+    assert hinted == ("--oracle" not in argv and oracle.covers(order, klass))
 
 
 def test_usage_error_exit_code(capsys):

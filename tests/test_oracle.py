@@ -696,19 +696,62 @@ def test_certificates_per_survey():
 
 
 def test_certificate_calls_per_survey(monkeypatch):
-    # only orbits sharing both the spectrum key and the joint key are certified
+    # only orbits with at most half the atoms that share both the spectrum
+    # key and the joint key are certified; those above are complements
     calls = []
     certify = oracle.canonical_form
     monkeypatch.setattr(oracle, "canonical_form",
                         lambda cs: calls.append(cs) or certify(cs))
-    want = {(8, False): 4, (12, False): 4, (14, False): 0, (15, False): 0,
-            (16, False): 424, (27, True): 24}
+    want = {(8, False): 2, (12, False): 2, (14, False): 0, (15, False): 0,
+            (16, False): 212, (27, True): 12}
     got = {}
     for n, undirected_only in want:
         calls.clear()
         oracle._Survey(n, undirected_only)
         got[n, undirected_only] = len(calls)
     assert got == want
+
+
+@pytest.mark.parametrize("n,undirected_only",
+                         [(n, False) for n in range(1, 17)]
+                         + [(n, True) for n in range(15, 28)])
+def test_classes_above_the_middle_are_complements(n, undirected_only):
+    # on masks: complementing the orbits of each class below the middle
+    # valency gives exactly the orbits of one class above it, and every
+    # class above it is met once
+    survey = _survey(n, undirected_only)
+    units = _units(n) or [1]
+    full = (1 << n) - 2
+    reps_of = {}
+    for rep, c in zip(survey.orbit_reps, survey.class_of_orbit):
+        reps_of.setdefault(c, set()).add(rep)
+
+    def least(mask):
+        return min(sum(1 << (m * s % n) for s in _mask_to_set(mask)) for m in units)
+
+    below = [frozenset(least(full & ~rep) for rep in reps)
+             for reps in reps_of.values() if 2 * min(reps).bit_count() < n - 1]
+    above = [frozenset(reps)
+             for reps in reps_of.values() if 2 * min(reps).bit_count() > n - 1]
+    assert len(below) == len(above) and set(below) == set(above)
+
+
+@pytest.mark.parametrize("klass", ["t", "sd", "su"])
+def test_middle_classes_at_even_order_need_no_survey(monkeypatch, klass):
+    # every tournament and self-complementary circulant has valency
+    # (n - 1)/2, so at even n these classes are empty without a survey
+    requested = []
+    monkeypatch.setattr(oracle, "_survey",
+                        lambda n, undirected_only: requested.append(n)
+                        or oracle._Survey(n, undirected_only))
+    for n in range(2, 17, 2):
+        assert enumerate_circulants(n, klass).total == 0
+        assert non_ci_count(n, klass) == (0, 0)
+        if klass != "t":  # Burnside counts t without the oracle
+            assert cayley_classes(n, klass) == 0
+    assert requested == []
+    with pytest.raises(UnsupportedOrderError):
+        enumerate_circulants(18, klass)
 
 
 def test_directed_survey_at_18_merges_as_before():
@@ -721,6 +764,26 @@ def test_directed_survey_at_18_merges_as_before():
     record = repr((survey.class_of_orbit, [c._values() for c in survey.classes]))
     assert hashlib.sha256(record.encode()).hexdigest() == \
         "6ae6a5119acdfcd4f665802eab78108669bc15e1292a5c4263901cc8e099cc4f"
+
+
+def test_survey_records_unchanged_to_16_and_27():
+    """Class numbering and records of every directed survey to 16 and every
+    undirected one to 27, as computed when each survey keyed and certified
+    the orbits above the middle valency too.  SHA-256 over the orbit
+    representatives, the class of every orbit and the class records."""
+    digests = {name: hashlib.sha256() for name in ("reps", "class_of_orbit", "classes")}
+    for n, undirected_only in ([(n, False) for n in range(1, 17)]
+                               + [(n, True) for n in range(1, 28)]):
+        survey = _survey(n, undirected_only)
+        for name, value in (("reps", survey.orbit_reps),
+                            ("class_of_orbit", survey.class_of_orbit),
+                            ("classes", [c._values() for c in survey.classes])):
+            digests[name].update(repr((n, undirected_only, value)).encode())
+    assert {name: h.hexdigest() for name, h in digests.items()} == {
+        "reps": "031a4f2cd8a257b85159833cb5206736379dafe35a9e1beaedfc8ea6372d88fd",
+        "class_of_orbit": "5c1995c712b62e9079607796ebd20b6c4ab565612acf664648a01b7211d22995",
+        "classes": "8d331326113591284618a6f746a0b7db700e10a8018eaa255edf6081f750d1cd",
+    }
 
 
 def _det_mod(matrix, p):
