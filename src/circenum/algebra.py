@@ -11,8 +11,8 @@ exactly by n.  This module supplies the three representations involved:
 * UniPoly    -- univariate integer polynomials in z (the counting series),
                 evaluated at -1 as p(-1) and at a square root of -1 as
                 p.at_i();
-* CycleIndex -- the divisor-indexed term list of I_n, built from one
-                factorisation of n and cached;
+* CycleIndex -- the divisor-indexed term list of I_n, read off the
+                divisor-totient table of numtheory and cached;
 * SymPoly    -- sparse multivariate polynomials over Q in the formal variables
                 x_1, x_2, ..., used to state and verify identities between
                 cycle indices symbolically.  The coefficients are integer
@@ -37,6 +37,7 @@ from math import gcd, lcm
 from typing import Callable, Iterable, NamedTuple
 
 from .errors import InexactDivisionError, ParityError
+from .numtheory import divisor_totients
 
 
 class UniPoly:
@@ -215,27 +216,9 @@ class CycleIndex(NamedTuple):
 
 @lru_cache(maxsize=256)
 def cycle_index(n: int) -> CycleIndex:
-    """I_n from one trial-division factorisation of n: each prime power p^k
-    extends every divisor d found so far to d*p^j, with phi(d*p^j) =
-    phi(d) * (p-1) * p^(j-1)."""
-    if n < 1:
-        raise ValueError(f"cycle_index requires n >= 1, got {n}")
-    pairs = [(1, 1)]    # (divisor, its totient)
-    m, p = n, 2
-    while m > 1:
-        if p * p > m:
-            p = m
-        if m % p == 0:
-            grown, power, phi = [], 1, p - 1
-            while m % p == 0:
-                m //= p
-                power *= p
-                grown += [(d * power, f * phi) for d, f in pairs]
-                phi *= p
-            pairs += grown
-        p += 1 if p == 2 else 2
-    pairs.sort()
-    return CycleIndex(n, tuple(CycleIndexTerm(d, f, n // d) for d, f in pairs))
+    """I_n: the term x_d^(n/d) with weight phi(d) for each divisor d of n."""
+    return CycleIndex(n, tuple(CycleIndexTerm(d, f, n // d)
+                               for d, f in divisor_totients(n)))
 
 
 # x_r -> 1 + coeff * z^(stride * r), or x_r^2 -> that value when square is set.

@@ -77,13 +77,16 @@ def cmd_count(args) -> int:
     return EXIT_OK
 
 
+def _table_count(order: int, klass: str, use_oracle: bool):
+    """A table cell's count: the formula where one exists, else the oracle
+    where --oracle is given."""
+    return _get_count(order, klass, use_oracle and not has_formula(order, klass))
+
+
 def _table1_cell(order: int, klass: str, use_oracle: bool):
     """(value, provenance) or None where nothing covers the cell."""
-    if has_formula(order, klass):
-        result = count_by_formula(order, klass)
-        return result.total, result.provenance
-    if use_oracle and oracle.covers(order, klass):
-        result = oracle.enumerate_circulants(order, klass)
+    if has_formula(order, klass) or use_oracle and oracle.covers(order, klass):
+        result = _table_count(order, klass, use_oracle)
         return result.total, result.provenance
     return None
 
@@ -125,7 +128,7 @@ def cmd_table(args) -> int:
     if klass not in VALENCY_CLASSES:
         print(f"table 2 needs --class d, u or o, got {klass!r}", file=sys.stderr)
         return EXIT_USAGE
-    columns = {n: _get_count(n, klass, args.oracle).by_valency for n in orders}
+    columns = {n: _table_count(n, klass, args.oracle).by_valency for n in orders}
     top = max(p.degree for p in columns.values())
     # the undirected catalog is laid out by even valency only
     step = 2 if klass == "u" else 1

@@ -25,9 +25,10 @@ from typing import Callable, NamedTuple
 
 from .errors import UnsupportedOrderError
 from .algebra import UniPoly, cycle_index, half_exponent, to_sym
-from .counting import (CountResult, count_by_formula, even_odd_split,
-                       formal_undirected, formula_kind, has_formula, mixed_sd,
-                       order_memo, oriented_alternating_expected)
+from .counting import (CountResult, alternating_sum, count_by_formula,
+                       even_odd_split, formal_undirected, formula_kind,
+                       has_formula, mixed_sd, order_memo,
+                       oriented_alternating_expected)
 from .numtheory import (has_prime_divisor_3_mod_4, is_prime,
                         odd_part_decomposition)
 from . import oracle
@@ -281,27 +282,26 @@ def _sd_total_or_zero(n: int) -> int:
 
 
 def _check_6_1(n):
-    lhs = count_by_formula(n, "d").by_valency(-1)
+    lhs = alternating_sum(n, "d")
     rhs = _sd_total_or_zero(n)
     return str(lhs), str(rhs), lhs == rhs
 
 
 def _check_6_2(n):
-    lhs = count_by_formula(n, "u").by_valency.at_i()
+    lhs = alternating_sum(n, "u")
     rhs = count_by_formula(n, "su").total
     return str(lhs), str(rhs), lhs == rhs
 
 
 def _check_6_3(n):
-    lhs = count_by_formula(n, "o").by_valency(-1)
+    lhs = alternating_sum(n, "o")
     rhs = oriented_alternating_expected(n)
     return str(lhs), str(rhs), lhs == rhs
 
 
 def _check_6_4(p):
-    lhs = 2 * count_by_formula(p, "d").by_valency(-1)
-    cu = count_by_formula(p, "u").by_valency
-    rhs = cu(1) + cu.at_i()
+    lhs = 2 * alternating_sum(p, "d")
+    rhs = count_by_formula(p, "u").total + alternating_sum(p, "u")
     return str(lhs), str(rhs), lhs == rhs
 
 

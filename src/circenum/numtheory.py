@@ -1,4 +1,5 @@
-"""Elementary number theory: totient, divisors, primality, 2-adic splits,
+"""Elementary number theory: one factorisation and the divisor-totient table
+over it (totient, divisors, the 3 mod 4 test), primality, 2-adic splits,
 nearly doubled primes and Cunningham chains of the second kind.
 
 All functions are pure and operate on Python integers of arbitrary size.
@@ -20,38 +21,54 @@ _DETERMINISTIC_BOUND = 1 << 64
 _TRIAL_BOUND = 41 * 41
 
 
-def euler_phi(n: int) -> int:
-    """Count of units modulo n (order of the multiplicative group Z_n^*)."""
+def factorize(n: int) -> list[tuple[int, int]]:
+    """Ascending (prime, exponent) pairs whose prime powers multiply to n:
+    the package's one trial division."""
     if n < 1:
-        raise ValueError(f"euler_phi requires n >= 1, got {n}")
-    result = n
-    m = n
-    p = 2
+        raise ValueError(f"factorize requires n >= 1, got {n}")
+    factors = []
+    m, p = n, 2
     while p * p <= m:
         if m % p == 0:
+            k = 0
             while m % p == 0:
                 m //= p
-            result -= result // p
-        p += 1
+                k += 1
+            factors.append((p, k))
+        p += 1 if p == 2 else 2
     if m > 1:
-        result -= result // m
-    return result
+        factors.append((m, 1))
+    return factors
+
+
+def divisor_totients(n: int) -> list[tuple[int, int]]:
+    """Ascending (d, phi(d)) for every divisor d of n.
+
+    Each prime power p^k of n extends every divisor d found so far to d*p^j,
+    j = 1..k, with phi(d*p^j) = phi(d) * (p-1) * p^(j-1).
+    """
+    pairs = [(1, 1)]
+    for p, k in factorize(n):
+        grown, power, phi = [], 1, p - 1
+        for _ in range(k):
+            power *= p
+            grown += [(d * power, f * phi) for d, f in pairs]
+            phi *= p
+        pairs += grown
+    pairs.sort()
+    return pairs
+
+
+def euler_phi(n: int) -> int:
+    """Count of units modulo n (order of the multiplicative group Z_n^*)."""
+    for p, _ in factorize(n):
+        n -= n // p
+    return n
 
 
 def divisors(n: int) -> list[int]:
     """All positive divisors of n in ascending order."""
-    if n < 1:
-        raise ValueError(f"divisors requires n >= 1, got {n}")
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    large.reverse()
-    return small + large
+    return [d for d, _ in divisor_totients(n)]
 
 
 def is_prime(n: int, rounds: int = 40) -> bool:
@@ -116,16 +133,7 @@ def odd_part_decomposition(n: int) -> OddPartDecomposition:
 
 def has_prime_divisor_3_mod_4(n: int) -> bool:
     """Whether some prime divisor of n is congruent to 3 mod 4."""
-    m = odd_part_decomposition(n).odd_part
-    p = 3
-    while p * p <= m:
-        if m % p == 0:
-            if p % 4 == 3:
-                return True
-            while m % p == 0:
-                m //= p
-        p += 2
-    return m % 4 == 3
+    return any(p % 4 == 3 for p, _ in factorize(n))
 
 
 class PrimePair(NamedTuple):

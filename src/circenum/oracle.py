@@ -9,7 +9,10 @@ is a genuine cross-check for the formulas.
 
 covers(n, klass) is the oracle's range: every class to order 16, and class
 u, surveyed over negation-closed sets only, to 27.  cayley_classes counts
-d, u, o and t by Burnside, without a survey, at any order.
+d, u, o and t by Burnside, without a survey, at any order: a unit m acts on
+the phi(d) elements of each order d | n as it acts on U(d), so its cycles
+there, and whether negation fixes or pairs them, come from ord_d(m) and
+numtheory's divisor-totient table of n.
 
 A survey indexes the eligible sets by bits over atoms (elements, or pairs
 {s, n-s} when undirected) so that ascending indices are ascending masks; a
@@ -50,6 +53,7 @@ from typing import NamedTuple
 from .errors import UnsupportedOrderError
 from .counting import VALENCY_CLASSES, CountResult
 from .algebra import UniPoly
+from .numtheory import divisor_totients
 
 _DIRECTED_LIMIT = 16    # every class: all 2^(n-1) connection sets
 _UNDIRECTED_LIMIT = 27  # class u: the 2^(n//2) unions of pairs {s, n-s}
@@ -553,22 +557,22 @@ def cayley_classes(n: int, klass: str) -> int:
     """Orbits of class-eligible connection sets under S -> m*S, m a unit.
 
     d, u, o, t are counted by Burnside over the unit group (no isomorphism
-    testing, so any order is cheap); sd and su need certificates and stay
-    within the oracle's range.
+    testing, so any order is cheap) from the cycle type of each multiplier,
+    read off the divisors of n (see _cycle_type); sd and su need
+    certificates and stay within the oracle's range.
     """
     if klass not in ("d", "u", "o", "t"):
         return sum(c.orbit_count for c in _chosen(n, klass))
     if n < 1:
         raise UnsupportedOrderError(f"order must be positive, got {n}")
+    levels = divisor_totients(n)[1:]
     units = _units(n) or [1]  # the unit group mod 1 is trivial
     total = 0
     for m in units:
-        cycles = _multiplier_cycles(n, m)
+        pairs, self_negating = _cycle_type(levels, m)
         if klass == "d":
-            total += 1 << len(cycles)
-            continue
-        pairs, self_negating = _negation_pairing(n, cycles)
-        if klass == "u":
+            total += 1 << (2 * pairs + self_negating)
+        elif klass == "u":
             # m and negation together must fix the set: a union of the
             # negation-closed cycles and of the pairs {C, -C}
             total += 1 << (pairs + self_negating)
@@ -579,31 +583,29 @@ def cayley_classes(n: int, klass: str) -> int:
     return total // len(units)
 
 
-def _multiplier_cycles(n: int, m: int) -> list[frozenset[int]]:
-    seen: set[int] = set()
-    cycles = []
-    for s in range(1, n):
-        if s in seen:
-            continue
-        cyc = set()
-        x = s
-        while x not in cyc:
-            cyc.add(x)
-            x = x * m % n
-        seen |= cyc
-        cycles.append(frozenset(cyc))
-    return cycles
+def _cycle_type(levels: list[tuple[int, int]], m: int) -> tuple[int, int]:
+    """(number of cycle pairs {C, -C} with C != -C, number of cycles with
+    C = -C) of s -> m*s on Z_n minus 0; levels holds (d, phi(d)) for the
+    divisors d > 1 of n.
 
-
-def _negation_pairing(n: int, cycles) -> tuple[int, int]:
-    """(number of {C, -C} pairs with C != -C, number of cycles with C = -C).
-
-    Negation commutes with every multiplier, so it permutes the multiplier
-    cycles as an involution.
+    The elements of order d are (n/d)*U(d), on which m acts as m mod d acts
+    on U(d): in phi(d)/l cycles of length l = ord_d(m).  Negation commutes
+    with m, so a cycle x<m> is its own negative exactly when -1 is a power
+    of m mod d, for every cycle of the level at once; at d = 2 it always is.
     """
-    cycle_of = {s: i for i, cyc in enumerate(cycles) for s in cyc}
-    self_negating = sum(cycle_of[n - next(iter(cyc))] == i for i, cyc in enumerate(cycles))
-    return (len(cycles) - self_negating) // 2, self_negating
+    pairs = self_negating = 0
+    for d, phi in levels:
+        x = m % d
+        length, negated = 1, x == d - 1
+        while x != 1:
+            x = x * m % d
+            length += 1
+            negated |= x == d - 1
+        if negated:
+            self_negating += phi // length
+        else:
+            pairs += phi // length // 2
+    return pairs, self_negating
 
 
 def non_ci_count(n: int, klass: str) -> tuple[int, int]:

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -6,7 +7,7 @@ from circenum.algebra import (SymPoly, UniPoly, cycle_index, half_exponent,
                               paired_power_sum, power_sum, substitute, to_sym)
 from circenum.counting import _SUBST
 from circenum.errors import InexactDivisionError, ParityError
-from circenum.numtheory import divisors, euler_phi, is_prime
+from circenum.numtheory import divisors, is_prime
 
 
 # --- UniPoly -----------------------------------------------------------------
@@ -70,11 +71,14 @@ def test_cycle_index_terms():
 
 
 def test_cycle_index_invariants():
+    # references independent of numtheory: a plain divisor scan, and phi(r)
+    # as the count of 1 <= k <= r coprime to r
+    phi = [0] + [sum(gcd(k, r) == 1 for k in range(1, r + 1)) for r in range(1, 2001)]
     for n in range(1, 2001):
         ci = cycle_index(n)
         assert ci.order == n
-        assert [t.var_index for t in ci.terms] == divisors(n)
-        assert all(t.weight == euler_phi(t.var_index) for t in ci.terms)
+        assert [t.var_index for t in ci.terms] == [r for r in range(1, n + 1) if n % r == 0]
+        assert all(t.weight == phi[t.var_index] for t in ci.terms)
         assert all(t.exponent == n // t.var_index for t in ci.terms)
         assert sum(t.weight for t in ci.terms) == n
 

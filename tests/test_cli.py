@@ -105,9 +105,11 @@ def test_table1_strict_exit(capsys):
     assert code == 3
 
 
-def test_table2_undirected_block(capsys):
+@pytest.mark.parametrize("flags", [(), ("--oracle",)], ids=["formula", "oracle"])
+def test_table2_undirected_block(capsys, flags):
+    # --oracle fills only cells without a formula, so it changes nothing here
     code, out, _ = run(capsys, "table", "2", "--orders", "7,13,14,19,37,38",
-                       "--class", "u")
+                       "--class", "u", *flags)
     assert code == 0
     lines = out.strip().split("\n")
     orders = [7, 13, 14, 19, 37, 38]
@@ -120,6 +122,18 @@ def test_table2_undirected_block(capsys):
             column = TABLE2_U[n]
             if r // 2 < len(column):
                 assert int(cell) == column[r // 2], (n, r)
+
+
+def test_table2_oracle_fills_only_orders_without_a_formula(capsys):
+    # 8 has no formula and comes from the oracle, 13 from the formula; at 8
+    # the even valencies 0, 2, 4, 6 hold the empty set, {1,7} ~ {3,5} and
+    # {2,6}, the complements of {4,1,7} ~ {4,3,5} and {4,2,6}, and {1..7} - {4}
+    code, out, err = run(capsys, "table", "2", "--orders", "8,13", "--class", "u",
+                         "--oracle")
+    assert (code, err) == (0, "")
+    columns = list(zip(*(line.split("\t") for line in out.strip().split("\n")[1:])))
+    assert [int(c) for c in columns[1] if c] == [1, 2, 2, 1]
+    assert [int(c) for c in columns[2] if c] == TABLE2_U[13]
 
 
 def test_verify_all_exit_zero(capsys):

@@ -1,8 +1,11 @@
+from math import isqrt, prod
+
 import pytest
 
 from circenum import numtheory
 from circenum.numtheory import (OddPartDecomposition, _proth_prime,
-                                cunningham_pairs, divisors, euler_phi,
+                                cunningham_pairs, divisor_totients, divisors,
+                                euler_phi, factorize,
                                 has_prime_divisor_3_mod_4, is_prime,
                                 nearly_doubled_primes, odd_part_decomposition)
 
@@ -26,10 +29,47 @@ def test_divisors():
         divisors(0)
 
 
+def _divisor_scan(n):
+    """The divisors of n by testing every d up to sqrt(n)."""
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
+
+
 def test_gauss_identity():
-    # sum of phi over divisors reconstructs n
+    # phi summed over the divisors, found by a plain scan, reconstructs n;
+    # the identity determines phi by Mobius inversion
     for n in range(1, 10001):
-        assert sum(euler_phi(r) for r in divisors(n)) == n
+        divs = _divisor_scan(n)
+        assert divisors(n) == divs
+        assert sum(euler_phi(r) for r in divs) == n
+
+
+def test_factorize_to_ten_thousand():
+    assert factorize(1) == []
+    for n in range(1, 10001):
+        factors = factorize(n)
+        assert prod(p ** k for p, k in factors) == n
+        assert all(is_prime(p) and k >= 1 for p, k in factors)
+        assert [p for p, _ in factors] == sorted({p for p, _ in factors})
+
+
+def test_divisor_totients_to_ten_thousand():
+    for n in range(1, 10001):
+        table = divisor_totients(n)
+        assert [d for d, _ in table] == _divisor_scan(n)
+        assert all(f == euler_phi(d) for d, f in table)
+    assert divisor_totients(12) == [(1, 1), (2, 1), (3, 2), (4, 2), (6, 2), (12, 4)]
+
+
+def test_factorize_large_prime_and_high_power():
+    big = 10 ** 9 + 7
+    assert factorize(6 * big) == [(2, 1), (3, 1), (big, 1)]
+    assert divisor_totients(6 * big)[-1] == (6 * big, 2 * (big - 1))
+    assert factorize(3 ** 40) == [(3, 40)]
+    assert divisor_totients(3 ** 40) == [(1, 1)] + [(3 ** j, 2 * 3 ** (j - 1))
+                                                    for j in range(1, 41)]
+    with pytest.raises(ValueError):
+        factorize(0)
 
 
 def test_is_prime_small():

@@ -889,6 +889,35 @@ def test_cayley_burnside_matches_direct_merge():
             assert cayley_classes(n, klass) == direct, (n, klass)
 
 
+def _set_walk_cayley_classes(n: int, klass: str) -> int:
+    """Burnside over the units by walking each multiplier's cycles on
+    Z_n minus 0 as sets: the reference for the divisor-level cycle type."""
+    units = _units(n) or [1]
+    total = 0
+    for m in units:
+        cycles, seen = [], set()
+        for s in range(1, n):
+            if s not in seen:
+                cyc, x = set(), s
+                while x not in cyc:
+                    cyc.add(x)
+                    x = x * m % n
+                seen |= cyc
+                cycles.append(frozenset(cyc))
+        self_negating = sum(frozenset(n - s for s in cyc) == cyc for cyc in cycles)
+        pairs = (len(cycles) - self_negating) // 2
+        total += {"d": 2 ** len(cycles), "u": 2 ** (pairs + self_negating),
+                  "o": 3 ** pairs,
+                  "t": 0 if self_negating or n % 2 == 0 else 2 ** pairs}[klass]
+    return total // len(units)
+
+
+def test_cayley_classes_match_the_set_walk_to_150():
+    for n in range(1, 151):
+        for klass in ("d", "u", "o", "t"):
+            assert cayley_classes(n, klass) == _set_walk_cayley_classes(n, klass), (n, klass)
+
+
 def test_cayley_classes_beyond_desk_scale():
     # Burnside path only: large n stays cheap for d/u/o/t
     assert cayley_classes(40, "d") > 0
