@@ -14,9 +14,8 @@ from .numtheory import (OddPartDecomposition, PrimePair, cunningham_pairs,
                         odd_part_decomposition)
 from .algebra import CycleIndex, UniPoly, cycle_index, substitute, to_sym
 from .counting import (CLASSES, CountResult, alternating_sum, count_by_formula,
-                       even_odd_split, formal_undirected,
-                       formal_undirected_count, log_concavity_probe, mixed_sd,
-                       prime_enumerator, prime_squared_enumerator,
+                       even_odd_split, formal_undirected, log_concavity_probe,
+                       mixed_sd, prime_enumerator, prime_squared_enumerator,
                        twice_prime_enumerator)
 from .identities import (IDENTITY_KEYS, IdentityReport, applicable, check,
                          verify_range)

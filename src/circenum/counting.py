@@ -6,7 +6,9 @@ t (tournament).  Formulas exist for three order shapes:
 
 * odd prime p        -- all six classes, by substitution into I_(p-1) or
                         I_((p-1)/2);
-* twice an odd prime -- d, u, o only;
+* twice an odd prime -- d, u, o only: the prime-order series at
+                        x_r -> x_r^2, times the factor of the element p
+                        (1 + z, or 1 for o);
 * odd prime squared  -- all six classes, via the bivariate combination
 
       (1/p) I_m(x^(p+1)) - (1/p) I_m(x y) + I_m(x) I_m(y)
@@ -14,9 +16,11 @@ t (tournament).  Formulas exist for three order shapes:
   with m = p-1 (m = (p-1)/2 for the undirected pair), x_r carrying the
   order-p substitution and y_r its z -> z^p companion.
 
-d, u, o admit generating polynomials by valency; sd, su, t are bare totals.
-Every division is performed exactly over the integers, so any transcription
-slip surfaces as an InexactDivisionError instead of a silently wrong count.
+Every substitution is a _SUBST entry; _cyclic is the one place that pairs
+it with its cycle index.  d, u, o admit generating polynomials by valency;
+sd, su, t are bare totals.  Every division is performed exactly over the
+integers, so any transcription slip surfaces as an InexactDivisionError
+instead of a silently wrong count.
 
 count_by_formula is the one dispatch from an order to its enumerator.
 Inside an order_memo() scope it computes each (order, class) once; outside
@@ -30,8 +34,8 @@ from math import isqrt
 from typing import NamedTuple
 
 from .errors import ConsistencyError, UnsupportedOrderError
-from .algebra import (Substitution, UniPoly, cycle_index, paired_power_sum,
-                      power_sum, substitute)
+from .algebra import (CycleIndex, Substitution, UniPoly, cycle_index,
+                      paired_power_sum, power_sum, substitute)
 from .numtheory import has_prime_divisor_3_mod_4, is_prime
 
 CLASSES = ("d", "u", "o", "sd", "su", "t")
@@ -97,9 +101,11 @@ _SUBST: dict[str, Substitution] = {
 }
 
 
-def _cycle_order(p: int, klass: str) -> int:
-    """The order m of the cycle index I_m the class substitutes into."""
-    return (p - 1) // 2 if klass in ("u", "su") else p - 1
+def _cyclic(p: int, klass: str) -> tuple[CycleIndex, Substitution]:
+    """The cycle index I_m the class substitutes into, and its substitution:
+    m = p - 1, or (p - 1)/2 for the undirected pair."""
+    m = (p - 1) // 2 if klass in ("u", "su") else p - 1
+    return cycle_index(m), _SUBST[klass]
 
 
 def _result(order: int, klass: str, poly: UniPoly) -> CountResult:
@@ -112,26 +118,23 @@ def prime_enumerator(p: int, klass: str) -> CountResult:
     """Count circulants of odd prime order p in the given class."""
     _require_odd_prime(p)
     _require_class(klass)
-    return _result(p, klass, substitute(cycle_index(_cycle_order(p, klass)),
-                                        _SUBST[klass]))
+    return _result(p, klass, substitute(*_cyclic(p, klass)))
 
 
 def twice_prime_enumerator(p: int, klass: str) -> CountResult:
     """Count circulants of order 2p (p an odd prime); classes d, u, o only."""
     _require_odd_prime(p)
     _require_class(klass, VALENCY_CLASSES)
-    if klass == "o":  # the odd-r substitution is plain here, not square-valued
-        poly = substitute(cycle_index(p - 1), ((0, 0, False), (2, 1, False)))
-    else:  # x_r -> (1 + z^r)^2 (u: z^(2r)), then one factor 1 + z
-        poly = substitute(cycle_index(_cycle_order(p, klass)), _SUBST[klass],
-                          exponent_factor=2) * UniPoly.one_plus(1)
-    return CountResult(2 * p, klass, poly(1), poly)
+    # the elements of order p and 2p: the prime-order series at x_r -> x_r^2
+    poly = substitute(*_cyclic(p, klass), exponent_factor=2)
+    if klass != "o":  # the self-negating element p, in or out; o leaves it out
+        poly = poly * UniPoly.one_plus(1)
+    return _result(2 * p, klass, poly)
 
 
 def _prime_squared_poly(p: int, klass: str) -> UniPoly:
-    m = _cycle_order(p, klass)
-    subst = _SUBST[klass]
-    ci = cycle_index(m)
+    ci, subst = _cyclic(p, klass)
+    m = ci.order
     lifted = power_sum(ci, subst, exponent_factor=p + 1)
     paired = paired_power_sum(ci, subst, p)
     x = power_sum(ci, subst)
@@ -160,16 +163,7 @@ def formal_undirected(n: int) -> UniPoly:
     """
     if n < 3 or n % 2 == 0:
         raise ValueError(f"formal_undirected requires odd n >= 3, got {n}")
-    return substitute(cycle_index((n - 1) // 2), _SUBST["u"])
-
-
-def formal_undirected_count(n: int) -> CountResult:
-    """formal_undirected wrapped with provenance: "formula" for prime n,
-    "formal" otherwise (the value then counts nothing and table emitters must
-    not present it as a graph count)."""
-    poly = formal_undirected(n)
-    provenance = "formula" if is_prime(n) else "formal"
-    return CountResult(n, "u", poly(1), poly, provenance=provenance)
+    return substitute(*_cyclic(n, "u"))
 
 
 def formula_kind(order: int) -> tuple[str, int] | None:

@@ -207,7 +207,9 @@ def power_sum_by_rows(ci, subst, exponent_factor=1):
     return total
 
 
-# every class substitution, and the plain odd-r one of the order-2p o count
+# every class substitution, and o2p: o's odd-r value written plain
+# (x_r -> 1 + 2z^r) rather than square-valued; no class uses it, but
+# power_sum must still expand a plain binomial with coefficient 2
 _DIFF_SUBSTS = dict(_SUBST, o2p=((0, 0, False), (2, 1, False)))
 # p + 1 for the odd primes p up to 43, the lifts of the p^2 formulas
 _LIFTS = [p + 1 for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)]

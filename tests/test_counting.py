@@ -4,8 +4,9 @@ import json
 import pytest
 
 from circenum import counting
-from circenum.algebra import CycleIndex, CycleIndexTerm, UniPoly, cycle_index
-from circenum.counting import (CLASSES, CountResult, alternating_sum,
+from circenum.algebra import (CycleIndex, CycleIndexTerm, UniPoly, cycle_index,
+                              substitute)
+from circenum.counting import (_SUBST, CLASSES, CountResult, alternating_sum,
                                count_by_formula, even_odd_split,
                                formal_undirected, formula_kind,
                                log_concavity_probe, mixed_sd,
@@ -95,6 +96,31 @@ def test_twice_prime_rejects_self_complementary_classes():
     for klass in ("sd", "su", "t"):
         with pytest.raises(UnsupportedOrderError):
             twice_prime_enumerator(7, klass)
+
+
+def twice_prime_by_own_substitution(p, klass):
+    """The reference order-2p series: d and u at x_r -> x_r^2 times 1 + z,
+    written out; o with its own plain odd-r substitution x_r -> 1 + 2z^r."""
+    if klass == "o":
+        return substitute(cycle_index(p - 1), ((0, 0, False), (2, 1, False)))
+    m = (p - 1) // 2 if klass == "u" else p - 1
+    return (substitute(cycle_index(m), _SUBST[klass], exponent_factor=2)
+            * UniPoly.one_plus(1))
+
+
+def test_twice_prime_matches_own_substitution():
+    primes = [p for p in range(3, 600, 2) if is_prime(p)]
+    cases = [(p, klass) for p in primes for klass in ("d", "u", "o")]
+    assert len(cases) == 324
+    for p, klass in cases:
+        assert (twice_prime_enumerator(p, klass).by_valency
+                == twice_prime_by_own_substitution(p, klass)), (p, klass)
+
+
+def test_formal_undirected_matches_undirected_substitution():
+    for n in range(3, 400, 2):
+        want = substitute(cycle_index((n - 1) // 2), _SUBST["u"])
+        assert formal_undirected(n) == want, n
 
 
 # --- prime squared order --------------------------------------------------------
@@ -187,15 +213,6 @@ def test_totals_equal_series_at_one():
             result = count_by_formula(n, klass)
             if result.by_valency is not None:
                 assert result.by_valency(1) == result.total
-
-
-def test_formal_undirected_count_provenance():
-    from circenum.counting import formal_undirected_count
-    assert formal_undirected_count(19).provenance == "formula"
-    formal = formal_undirected_count(55)
-    assert formal.provenance == "formal"
-    assert formal.to_json()["provenance"] == "formal"
-    assert formal.total == formal.by_valency(1)
 
 
 def test_formal_undirected():
