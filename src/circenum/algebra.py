@@ -193,10 +193,6 @@ class UniPoly:
                     f"gaussian-unit evaluation needs even powers only; z^{r} present")
         return sum(self.coeffs[0::4]) - sum(self.coeffs[2::4])
 
-    def to_json(self) -> list[int]:
-        """Coefficient array, index = power of z."""
-        return list(self.coeffs)
-
     def __repr__(self) -> str:
         return f"UniPoly({list(self.coeffs)})"
 

@@ -247,6 +247,14 @@ def _int_at_least(low: int):
     return parse
 
 
+def _orders(text: str) -> list[int]:
+    """argparse type: comma-separated orders, each at least 1."""
+    return [_int_at_least(1)(x) for x in text.split(",")]
+
+
+_orders.__name__ = "order list"
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="circenum",
@@ -271,8 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table = sub.add_parser("table", help="emit a catalog table")
     p_table.add_argument("which", type=int, choices=(1, 2))
     p_table.add_argument("--max", type=_int_at_least(2), default=14)
-    p_table.add_argument("--orders",
-                         type=lambda s: [_int_at_least(1)(x) for x in s.split(",")])
+    p_table.add_argument("--orders", type=_orders)
     p_table.add_argument("--class", dest="klass", default="u",
                          help="class for table 2 (d, u or o)")
     _add_oracle_options(p_table, "fill cells without a formula from the oracle")
@@ -324,6 +331,11 @@ def main(argv=None) -> int:
     if args.format not in FORMATS:  # argparse does not check a default
         parser.error(f"CIRCENUM_FORMAT: invalid choice: {args.format!r} "
                      f"(choose from {', '.join(FORMATS)})")
+    # counts print in full, past the interpreter's int-string digit limit;
+    # the arguments above were parsed under it (absent before 3.10.7)
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digit_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except UnsupportedOrderError as exc:
@@ -332,6 +344,9 @@ def main(argv=None) -> int:
     except ValueError as exc:  # a library call rejected an argument
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 def main_exit() -> None:

@@ -20,7 +20,6 @@ numeric or polynomial.
 
 from __future__ import annotations
 
-import time
 from typing import Callable, NamedTuple
 
 from .errors import UnsupportedOrderError
@@ -40,14 +39,9 @@ class IdentityReport(NamedTuple):
     status: str   # "holds" | "fails" | "not-applicable"
     lhs: str
     rhs: str
-    # seconds in check(); in a sweep the first check at an order also pays
-    # for the enumerator results the later checks there reuse
-    elapsed: float
 
-    # no timing in the JSON, so equal reports print equal bytes
     def to_json(self) -> dict:
-        return {"key": self.key, "order": self.order, "status": self.status,
-                "lhs": self.lhs, "rhs": self.rhs}
+        return self._asdict()
 
 
 def _odd_prime(n: int) -> bool:
@@ -510,17 +504,14 @@ def evaluable(key: str, n: int, allow_oracle: bool = False) -> bool:
 def check(key: str, n: int, allow_oracle: bool = False) -> IdentityReport:
     """Evaluate both sides of one identity at order n and compare exactly."""
     ident = _identity(key)
-    start = time.perf_counter()
     if not ident.applies(n):
-        return IdentityReport(key, n, "not-applicable", "", "",
-                              time.perf_counter() - start)
+        return IdentityReport(key, n, "not-applicable", "", "")
     if not ident.evaluable(n, allow_oracle):
         raise UnsupportedOrderError(
             f"identity {key} applies at order {n} but neither a formula nor the "
             f"desk-scale oracle covers it")
     lhs, rhs, holds = ident.run(n)
-    return IdentityReport(key, n, "holds" if holds else "fails", lhs, rhs,
-                          time.perf_counter() - start)
+    return IdentityReport(key, n, "holds" if holds else "fails", lhs, rhs)
 
 
 def verify_range(keys=None, order_bound: int = 100, lemma_bound: int = 64,

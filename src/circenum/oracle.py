@@ -50,7 +50,7 @@ from math import gcd, prod
 from sys import byteorder
 from typing import NamedTuple
 
-from .errors import UnsupportedOrderError
+from .errors import InexactDivisionError, UnsupportedOrderError
 from .counting import VALENCY_CLASSES, CountResult
 from .algebra import UniPoly
 from .numtheory import divisor_totients
@@ -399,30 +399,14 @@ def canonical_form(cs: ConnectionSet) -> bytes:
 # Exhaustive survey of one order
 # ---------------------------------------------------------------------------
 
-class _ClassInfo:
-    """One class of a survey: a slots class, smaller than a tuple record."""
-
-    __slots__ = ("valency", "orbit_count", "undirected", "oriented",
-                 "tournament", "self_complementary")
-
-    def __init__(self, valency: int, orbit_count: int, undirected: bool,
-                 oriented: bool, tournament: bool, self_complementary: bool):
-        self.valency = valency
-        self.orbit_count = orbit_count   # multiplier orbits merged into this class
-        self.undirected = undirected
-        self.oriented = oriented
-        self.tournament = tournament
-        self.self_complementary = self_complementary
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other) -> bool:
-        return type(other) is _ClassInfo and self._values() == other._values()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"_ClassInfo({fields})"
+class _ClassInfo(NamedTuple):
+    """One class of a survey."""
+    valency: int
+    orbit_count: int   # multiplier orbits merged into this class
+    undirected: bool
+    oriented: bool
+    tournament: bool
+    self_complementary: bool
 
 
 class _Survey:
@@ -493,10 +477,8 @@ class _Survey:
             # the middle valency, whose orbits are all lower, can be its own
             middle = 2 * valency == n - 1
             self.classes.append(_ClassInfo(
-                valency=valency, orbit_count=len(ids),
-                undirected=neg == x, oriented=not neg & x,
-                tournament=not neg & x and middle,
-                self_complementary=middle and class_of_orbit[complement[ids[0]]] == c))
+                valency, len(ids), neg == x, not neg & x, not neg & x and middle,
+                middle and class_of_orbit[complement[ids[0]]] == c))
 
     def select(self, klass: str):
         pred = _CLASS_PREDICATES[klass]
@@ -558,8 +540,9 @@ def cayley_classes(n: int, klass: str) -> int:
 
     d, u, o, t are counted by Burnside over the unit group (no isomorphism
     testing, so any order is cheap) from the cycle type of each multiplier,
-    read off the divisors of n (see _cycle_type); sd and su need
-    certificates and stay within the oracle's range.
+    read off the divisors of n (see _cycle_type), and the Burnside sum must
+    divide exactly by |U(n)|; sd and su need certificates and stay within
+    the oracle's range.
     """
     if klass not in ("d", "u", "o", "t"):
         return sum(c.orbit_count for c in _chosen(n, klass))
@@ -580,7 +563,11 @@ def cayley_classes(n: int, klass: str) -> int:
             total += 3 ** pairs
         else:  # t: pick exactly one of each negation pair
             total += 0 if self_negating or n % 2 == 0 else 2 ** pairs
-    return total // len(units)
+    count, rem = divmod(total, len(units))
+    if rem:
+        raise InexactDivisionError(
+            f"Burnside sum at order {n} leaves {rem} mod |U(n)| = {len(units)}")
+    return count
 
 
 def _cycle_type(levels: list[tuple[int, int]], m: int) -> tuple[int, int]:

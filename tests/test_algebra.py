@@ -385,9 +385,3 @@ def test_to_sym_interleaved_zeros():
 def test_to_sym_merges_terms_on_one_monomial():
     # every term of I_6 sent to x_1: the weights phi(r)/6 sum to 1
     assert to_sym(cycle_index(6), lambda r, e: (1, 1)) == x(1)
-
-
-# --- serialization ------------------------------------------------------------
-
-def test_unipoly_json():
-    assert UniPoly([1, 0, 2]).to_json() == [1, 0, 2]

@@ -264,6 +264,8 @@ def test_usage_error_exit_code(capsys):
     "table 1 --orders 0 --oracle",
     "verify --all --max -5",
     "verify --all --lemma-max -1",
+    "table 1 --orders 5,,7",
+    "table 2 --orders , --class d",
 ])
 def test_malformed_arguments_exit_two(capsys, argv):
     try:
@@ -272,8 +274,30 @@ def test_malformed_arguments_exit_two(capsys, argv):
         code = exc.code
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert "Traceback" not in captured.err
+    assert "Traceback" not in captured.err and "<lambda>" not in captured.err
     assert sum("error" in line for line in captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_counts_print_past_the_int_string_digit_limit(capsys, fmt):
+    # C_sd(28603) has 4,301 digits, one past the interpreter's default limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, err = run(capsys, "--format", fmt, "count", "--order", "28603",
+                         "--class", "sd")
+    assert code == 0 and err == ""
+    total = out.split()[0] if fmt == "text" else json.loads(out)["total"]
+    assert len(total) == 4301 and total.isdigit()
+    if fmt == "text":
+        assert out == total + " (formula)\n"
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int-string digit limit before Python 3.10.7")
+def test_huge_order_string_is_still_a_usage_error():
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--order", "9" * 5000, "--class", "d"])
+    assert exc.value.code == 2
 
 
 def test_json_round_trip(capsys):

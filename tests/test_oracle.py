@@ -10,7 +10,7 @@ import pytest
 from circenum import oracle
 from circenum.counting import (count_by_formula, formula_kind,
                                oriented_alternating_expected)
-from circenum.errors import UnsupportedOrderError
+from circenum.errors import InexactDivisionError, UnsupportedOrderError
 from circenum.numtheory import is_prime
 from circenum.oracle import (ConnectionSet, _ClassInfo, _adjacency,
                              _mask_to_set, _refine, _root_of_unity,
@@ -761,7 +761,7 @@ def test_directed_survey_at_18_merges_as_before():
     the spectrum key alone."""
     survey = _survey(18, False)
     assert (len(survey.orbit_reps), len(survey.classes)) == (22112, 22040)
-    record = repr((survey.class_of_orbit, [c._values() for c in survey.classes]))
+    record = repr((survey.class_of_orbit, [tuple(c) for c in survey.classes]))
     assert hashlib.sha256(record.encode()).hexdigest() == \
         "6ae6a5119acdfcd4f665802eab78108669bc15e1292a5c4263901cc8e099cc4f"
 
@@ -777,13 +777,19 @@ def test_survey_records_unchanged_to_16_and_27():
         survey = _survey(n, undirected_only)
         for name, value in (("reps", survey.orbit_reps),
                             ("class_of_orbit", survey.class_of_orbit),
-                            ("classes", [c._values() for c in survey.classes])):
+                            ("classes", [tuple(c) for c in survey.classes])):
             digests[name].update(repr((n, undirected_only, value)).encode())
     assert {name: h.hexdigest() for name, h in digests.items()} == {
         "reps": "031a4f2cd8a257b85159833cb5206736379dafe35a9e1beaedfc8ea6372d88fd",
         "class_of_orbit": "5c1995c712b62e9079607796ebd20b6c4ab565612acf664648a01b7211d22995",
         "classes": "8d331326113591284618a6f746a0b7db700e10a8018eaa255edf6081f750d1cd",
     }
+
+
+def test_class_records_are_named_tuples():
+    assert _ClassInfo._fields == ("valency", "orbit_count", "undirected", "oriented",
+                                  "tournament", "self_complementary")
+    assert all(type(c) is _ClassInfo for c in _survey(7, False).classes)
 
 
 def _det_mod(matrix, p):
@@ -925,6 +931,20 @@ def test_cayley_classes_beyond_desk_scale():
         cayley_classes(0, "d")
     with pytest.raises(UnsupportedOrderError):
         cayley_classes(40, "sd")
+
+
+def test_cayley_classes_divides_exactly(monkeypatch):
+    # one extra self-negating cycle at the identity unit of order 7 makes the
+    # class-d sum 84 + 64 = 148, not a multiple of |U(7)| = 6; no floor
+    real = oracle._cycle_type
+
+    def skewed(levels, m):
+        pairs, self_negating = real(levels, m)
+        return pairs, self_negating + (m == 1)
+
+    monkeypatch.setattr(oracle, "_cycle_type", skewed)
+    with pytest.raises(InexactDivisionError):
+        cayley_classes(7, "d")
 
 
 def test_prime_orders_are_ci():
