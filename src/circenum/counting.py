@@ -168,7 +168,9 @@ def formal_undirected(n: int) -> UniPoly:
 
 def formula_kind(order: int) -> tuple[str, int] | None:
     """Which closed form covers this order: ("prime"|"twice_prime"|"prime_squared", p)."""
-    if order >= 3 and order % 2 == 1 and is_prime(order):
+    if order < 3:
+        return None
+    if order % 2 == 1 and is_prime(order):
         return ("prime", order)
     if order % 2 == 0 and order // 2 >= 3 and is_prime(order // 2):
         return ("twice_prime", order // 2)
@@ -182,7 +184,8 @@ def has_formula(order: int, klass: str) -> bool:
     """Does a closed form cover this order and class?  Order-2p formulas
     exist for d, u, o only."""
     kind = formula_kind(order)
-    return kind is not None and (kind[0] != "twice_prime" or klass in VALENCY_CLASSES)
+    return kind is not None and klass in (VALENCY_CLASSES if kind[0] == "twice_prime"
+                                          else CLASSES)
 
 
 # (order, class) -> CountResult while an order_memo() scope is open

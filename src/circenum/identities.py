@@ -56,7 +56,7 @@ def _half_successor_prime(p: int) -> bool:
 def _nearly_doubled_odd(p: int) -> bool:
     """p and q = (p+1)/2 both odd primes (q > 2, so the order p+1 = 2q has
     counting formulas)."""
-    return _odd_prime(p) and (p + 1) // 2 >= 3 and is_prime((p + 1) // 2)
+    return _half_successor_prime(p) and p > 3
 
 
 def _odd_prime_square(n: int):

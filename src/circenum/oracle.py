@@ -15,24 +15,26 @@ there, and whether negation fixes or pairs them, come from ord_d(m) and
 numtheory's divisor-totient table of n.
 
 A survey indexes the eligible sets by bits over atoms (elements, or pairs
-{s, n-s} when undirected) so that ascending indices are ascending masks; a
-bytearray seen-set and two half-width lookup tables per unit find each orbit
-from its least index.  Orbits are bucketed by their spectrum mod a prime P,
-over which the DFT diagonalises every circulant: the key, the characteristic
-polynomial mod P at a generic point, is an isomorphism invariant, so an
-orbit alone in its bucket is a class of its own.  A shared bucket is split
-by a second invariant, the joint spectrum of A and A o A^2 (the adjacency
-matrix and its entrywise product with its square, see _joint_key).  Only
-orbits sharing both keys are canonically labeled, one representative each,
-and orbits sharing a certificate form one class: certificates decide every
-merge, and the invariants only ever separate.
+{s, n-s} when undirected) so that ascending indices are ascending masks; an
+orbit table records the orbit of every index, and two half-width lookup
+tables per unit mark each orbit from its least index.  Orbits are bucketed
+by their spectrum mod a prime P, over which the DFT diagonalises every
+circulant: the key, the characteristic polynomial mod P at a generic point,
+is an isomorphism invariant, so an orbit alone in its bucket is a class of
+its own.  A shared bucket is split by a second invariant, the joint
+spectrum of A and A o A^2 (the adjacency matrix and its entrywise product
+with its square, see _joint_key).  Only orbits sharing both keys are
+canonically labeled, one representative each, and orbits sharing a
+certificate form one class: certificates decide every merge, and the
+invariants only ever separate.
 
 A survey keys and certifies only the orbits with at most half the atoms.
 Complementation maps classes of valency k onto classes of valency n-1-k and
 orbits onto orbits, so each class above the middle is the complement of one
-below it, orbit by orbit.  A tournament or self-complementary circulant has
-valency (n-1)/2, so at even n the classes t, sd and su are empty and are
-answered without a survey.
+below it, orbit by orbit; complementing any member of an orbit lands in the
+complement orbit, so the link is one lookup in the orbit table.  A
+tournament or self-complementary circulant has valency (n-1)/2, so at even
+n the classes t, sd and su are empty and are answered without a survey.
 
 The canonical labeler is a self-contained individualization-refinement
 search over vertex partitions: refinement by out/in neighbour counts (see
@@ -44,7 +46,7 @@ graphs up to a few dozen vertices.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from array import array
 from functools import lru_cache
 from math import gcd, prod
 from sys import byteorder
@@ -414,9 +416,11 @@ class _Survey:
 
     def __init__(self, n: int, undirected_only: bool = False):
         # bit i of an index is atoms[i]: element i + 1, or the pair {s, n-s}
-        # for s = n//2 - i, so ascending indices are ascending masks.  The
-        # first unseen index is its orbit's least mask, and marking its images
-        # under the unit group (two half tables per unit) marks the orbit.
+        # for s = n//2 - i, so ascending indices are ascending masks.  orbit[x]
+        # is the orbit of index x, -1 until marked, and a sentinel -1 ends the
+        # scan.  The first unmarked index is its orbit's least mask, and
+        # marking its images under the unit group (two half tables per unit)
+        # marks the orbit.
         atoms = ([{s, n - s} for s in range(n // 2, 0, -1)] if undirected_only
                  else [{s} for s in range(1, n)])
         bit_of = {s: i for i, atom in enumerate(atoms) for s in atom}
@@ -424,43 +428,32 @@ class _Survey:
                  for m in _units(n) or [1]]
         half, low = len(atoms) // 2, (1 << len(atoms) // 2) - 1
         full = (1 << len(atoms)) - 1
-        seen = bytearray(1 << len(atoms))
-        # complementing indices reverses their order, so the complement
-        # orbit's least index is full ^ (the orbit's greatest); only the
-        # lower orbits, with at most half the atoms, need that link
-        reps, complement, x = [], {}, 0
-        while x >= 0:
-            if 2 * x.bit_count() <= len(atoms):
-                images = [lo[x & low] + hi[x >> half] for lo, hi in units]
-                for y in images:
-                    seen[y] = 1
-                complement[len(reps)] = full ^ max(images)
-            else:
-                for lo, hi in units:
-                    seen[lo[x & low] + hi[x >> half]] = 1
+        orbit = array("i", [-1]) * (full + 2)
+        reps, x = [], 0
+        while x <= full:
+            for lo, hi in units:
+                orbit[lo[x & low] + hi[x >> half]] = len(reps)
             reps.append(x)
-            x = seen.find(0, x + 1)
-        for i, y in complement.items():     # least index -> orbit
-            complement[i] = bisect_left(reps, y)
+            x = orbit.index(-1, x + 1)
         mask_lo, mask_hi = _halves([sum(1 << s for s in atom) for atom in atoms])
         orbit_reps = self.orbit_reps = [mask_lo[x & low] + mask_hi[x >> half]
                                         for x in reps]
-        # lower orbits with distinct spectra mod P are not isomorphic; a shared
-        # spectrum is split by the joint key of A and A o A^2, and only
-        # orbits that share both keys are told apart or merged by certificates
-        buckets: dict[int, list[int]] = {}
-        keys = _spectrum_keys(n, atoms, (reps[i] for i in complement))
-        for i, key in zip(complement, keys):
-            buckets.setdefault(key, []).append(i)
+        # only the lower orbits, with at most half the atoms, are keyed: those
+        # with distinct spectra mod P are not isomorphic; a shared spectrum is
+        # split by the joint key of A and A o A^2, and only orbits that share
+        # both keys are told apart or merged by certificates
+        lower = [i for i, x in enumerate(reps) if 2 * x.bit_count() <= len(atoms)]
+        spectrum = dict(zip(lower, _spectrum_keys(n, atoms, (reps[i] for i in lower))))
         joint_key = _joint_key(n)
-        groups = [ids for shared in buckets.values()
+        groups = [ids for shared in _grouped(lower, spectrum.__getitem__)
                   for split in _grouped(shared, lambda i: joint_key(orbit_reps[i]))
                   for ids in _grouped(split, lambda i: canonical_form(
                       ConnectionSet.from_mask(n, orbit_reps[i])))]
         # complementation is a bijection on classes that maps orbits to
         # orbits, so each class above the middle is, orbit by orbit, the
-        # complement of one below it (a middle class's is at the middle)
-        groups += [sorted(complement[i] for i in ids) for ids in groups
+        # complement of one below it (a middle class's is at the middle);
+        # complementing any member of an orbit lands in the complement orbit
+        groups += [sorted(orbit[full ^ reps[i]] for i in ids) for ids in groups
                    if 2 * reps[ids[0]].bit_count() < len(atoms)]
         groups.sort()
         class_of_orbit = self.class_of_orbit = [0] * len(reps)
@@ -478,7 +471,7 @@ class _Survey:
             middle = 2 * valency == n - 1
             self.classes.append(_ClassInfo(
                 valency, len(ids), neg == x, not neg & x, not neg & x and middle,
-                middle and class_of_orbit[complement[ids[0]]] == c))
+                middle and class_of_orbit[orbit[full ^ x]] == c))
 
     def select(self, klass: str):
         pred = _CLASS_PREDICATES[klass]
@@ -502,7 +495,8 @@ def _survey(n: int, undirected_only: bool) -> _Survey:
 
 def covers(n: int, klass: str) -> bool:
     """Does the oracle answer at order n for the class?"""
-    return 1 <= n <= (_UNDIRECTED_LIMIT if klass == "u" else _DIRECTED_LIMIT)
+    limit = _UNDIRECTED_LIMIT if klass == "u" else _DIRECTED_LIMIT
+    return klass in _CLASS_PREDICATES and 1 <= n <= limit
 
 
 def _chosen(n: int, klass: str) -> list[_ClassInfo]:

@@ -8,7 +8,7 @@ from circenum.algebra import (CycleIndex, CycleIndexTerm, UniPoly, cycle_index,
                               substitute)
 from circenum.counting import (_SUBST, CLASSES, CountResult, alternating_sum,
                                count_by_formula, even_odd_split,
-                               formal_undirected, formula_kind,
+                               formal_undirected, formula_kind, has_formula,
                                log_concavity_probe, mixed_sd,
                                oriented_alternating_expected, prime_enumerator,
                                prime_squared_enumerator,
@@ -183,6 +183,19 @@ def test_count_by_formula_unsupported():
         count_by_formula(15, "d")
     with pytest.raises(UnsupportedOrderError):
         count_by_formula(14, "sd")
+    with pytest.raises(UnsupportedOrderError):
+        count_by_formula(-3, "d")
+
+
+def test_has_formula_is_where_count_by_formula_answers():
+    for n in range(-3, 61):
+        for klass in CLASSES + ("zz",):
+            try:
+                count_by_formula(n, klass)
+                answers = True
+            except UnsupportedOrderError:
+                answers = False
+            assert has_formula(n, klass) == answers, (n, klass)
 
 
 # --- structural invariants ---------------------------------------------------------

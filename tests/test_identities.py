@@ -49,6 +49,13 @@ def test_check_not_applicable_is_clean():
     assert report.status == "not-applicable"
 
 
+@pytest.mark.parametrize("n", [-9, -4, -1, 0])
+def test_orders_below_one_are_not_applicable(n):
+    for key in IDENTITY_KEYS:
+        assert not applicable(key, n), key
+        assert check(key, n).status == "not-applicable", key
+
+
 def test_check_unsupported_order_raises():
     with pytest.raises(UnsupportedOrderError):
         check("3.4", 21)

@@ -477,7 +477,7 @@ def test_oracle_range_errors():
         enumerate_circulants(28, "u")
 
 
-@pytest.mark.parametrize("klass", COLUMN_CLASSES)
+@pytest.mark.parametrize("klass", [*COLUMN_CLASSES, "zz"])
 def test_covers_is_where_the_oracle_answers(klass):
     for n in range(29):
         try:
