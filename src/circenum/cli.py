@@ -13,11 +13,14 @@ Every number is printed as a full decimal string together with its provenance
 (formula / oracle); JSON output is line-delimited with sorted keys, so
 re-rendering parsed records reproduces the bytes exactly.  The output format
 comes from --format, else from CIRCENUM_FORMAT, else text.
+A process builds the argument parser once and every `main` call reuses it;
+CIRCENUM_FORMAT is read on each call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -42,10 +45,6 @@ _CLASS_OF_COLUMN = dict(zip(TABLE1_COLUMNS, CLASSES))
 
 def _json_line(record: dict) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
-
-
-def _default_format() -> str:
-    return os.environ.get("CIRCENUM_FORMAT", "text")
 
 
 def _get_count(order: int, klass: str, use_oracle: bool):
@@ -255,13 +254,13 @@ def _orders(text: str) -> list[int]:
 _orders.__name__ = "order list"
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="circenum",
         description="Exact counts of circulant graphs, identity checks, and a "
                     "brute-force isomorphism oracle.")
     parser.add_argument("--format", choices=FORMATS,
-                        default=_default_format(),
                         help="output format (default from CIRCENUM_FORMAT)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -328,7 +327,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.format not in FORMATS:  # argparse does not check a default
+    if args.format is None:
+        args.format = os.environ.get("CIRCENUM_FORMAT", "text")
+    if args.format not in FORMATS:  # argparse does not check the environment
         parser.error(f"CIRCENUM_FORMAT: invalid choice: {args.format!r} "
                      f"(choose from {', '.join(FORMATS)})")
     # counts print in full, past the interpreter's int-string digit limit;

@@ -46,7 +46,6 @@ graphs up to a few dozen vertices.
 
 from __future__ import annotations
 
-from array import array
 from functools import lru_cache
 from math import gcd, prod
 from sys import byteorder
@@ -428,6 +427,7 @@ class _Survey:
                  for m in _units(n) or [1]]
         half, low = len(atoms) // 2, (1 << len(atoms) // 2) - 1
         full = (1 << len(atoms)) - 1
+        from array import array   # only surveys need it; it slows every cold start
         orbit = array("i", [-1]) * (full + 2)
         reps, x = [], 0
         while x <= full:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from circenum import oracle
+from circenum import cli, oracle
 from circenum.cli import main
 
 from golden import ORIENTED_CORRECTIONS, TABLE1, TABLE2_U
@@ -21,13 +21,14 @@ def run(capsys, *argv):
 def test_cold_start_imports_stay_small():
     # a fresh interpreter without site: importing the CLI loads none of
     # these; together they added about 25 ms and 1.7 MB to the start-up of
-    # every query (two-core x86-64, Python 3.11, no cached bytecode)
+    # every query (two-core x86-64, Python 3.11, no cached bytecode), and
+    # array, which only a survey needs, another 0.6 ms
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     proc = subprocess.run(
         [sys.executable, "-S", "-c",
          "import sys; from circenum import cli; "
-         "print(sorted({'dataclasses', 'fractions', 'inspect', 'random'} & set(sys.modules)))"],
+         "print(sorted({'array', 'dataclasses', 'fractions', 'inspect', 'random'} & set(sys.modules)))"],
         env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
@@ -322,19 +323,52 @@ def test_json_verify_round_trip(capsys):
 
 
 def test_format_env_default(capsys, monkeypatch):
+    cli._build_parser()   # the environment is read by main, not by the parser
     monkeypatch.setenv("CIRCENUM_FORMAT", "json")
     code, out, _ = run(capsys, "count", "--order", "13", "--class", "sd")
     assert code == 0
-    assert json.loads(out)["total"] == "8"
+    assert out == ('{"by_valency":null,"class":"sd","order":13,'
+                   '"provenance":"formula","total":"8"}\n')
+    # an explicit --format beats the environment
+    code, out, _ = run(capsys, "--format", "text", "count", "--order", "13",
+                       "--class", "sd")
+    assert code == 0 and out == "8 (formula)\n"
 
 
 def test_format_env_rejects_unknown_format(capsys, monkeypatch):
+    cli._build_parser()
     monkeypatch.setenv("CIRCENUM_FORMAT", "xml")
     with pytest.raises(SystemExit) as exc:
         main(["count", "--order", "13", "--class", "d"])
     captured = capsys.readouterr()
     assert exc.value.code == 2 and captured.out == ""
     assert sum("error" in line for line in captured.err.splitlines()) == 1
+    assert captured.err.splitlines()[-1] == (
+        "circenum: error: CIRCENUM_FORMAT: invalid choice: 'xml' "
+        "(choose from text, csv, json)")
+
+
+def test_parser_is_built_once_per_process():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_no_state_carries_between_main_calls(capsys, monkeypatch):
+    monkeypatch.delenv("CIRCENUM_FORMAT", raising=False)
+    code, out, _ = run(capsys, "table", "1", "--max", "3", "--format", "csv")
+    assert code == 0 and out.startswith("n,C_d,")
+    code, out, _ = run(capsys, "table", "1", "--max", "3")
+    assert code == 0 and out.startswith("n\tC_d\t")
+    code, out, _ = run(capsys, "count", "--order", "13", "--class", "d", "--poly")
+    assert code == 0 and out.endswith(" (formula)\n") and out.count(" ") > 1
+    code, out, _ = run(capsys, "count", "--order", "13", "--class", "d")
+    assert code == 0 and out == "352 (formula)\n"
+    helps = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1] and helps[0].startswith("usage: circenum")
 
 
 def test_format_flag_after_subcommand(capsys):
