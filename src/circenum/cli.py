@@ -2,10 +2,10 @@
 
 Subcommands: count, table, verify, primes, logconcave.  Exit codes follow a
 stable contract: 0 success / all identities hold, 1 identity or property
-violation, 2 usage error, 3 unsupported order or out-of-range oracle request.
-An unsupported order prints one `error:` line on stderr, from `main`; where
---oracle was not given and the oracle covers the order and class, the line
-suggests it.
+violation, 2 usage error, 3 unsupported order, out-of-range oracle request or
+too little memory.  An unsupported order prints one `error:` line on stderr,
+from `main`; where --oracle was not given and the oracle covers the order and
+class, the line suggests it.
 A reader that closes standard output early (as `| head` does) ends the run
 with 141 and no traceback, the status a shell reports for a filter killed by
 SIGPIPE (128 + 13).
@@ -28,7 +28,7 @@ import sys
 from .errors import UnsupportedOrderError
 from .counting import (CLASSES, VALENCY_CLASSES, count_by_formula, has_formula,
                        log_concavity_probe)
-from .identities import IDENTITIES, IDENTITY_KEYS, verify_range
+from .identities import IDENTITIES, IDENTITY_KEYS, covered, verify_range
 from .numtheory import cunningham_pairs, nearly_doubled_primes
 from . import oracle
 
@@ -40,7 +40,6 @@ EXIT_BROKEN_PIPE = 141
 
 FORMATS = ("text", "csv", "json")
 TABLE1_COLUMNS = ("C_d", "C_u", "C_o", "C_sd", "C_su", "C_t")
-_CLASS_OF_COLUMN = dict(zip(TABLE1_COLUMNS, CLASSES))
 
 
 def _json_line(record: dict) -> str:
@@ -82,44 +81,32 @@ def _table_count(order: int, klass: str, use_oracle: bool):
     return _get_count(order, klass, use_oracle and not has_formula(order, klass))
 
 
-def _table1_cell(order: int, klass: str, use_oracle: bool):
-    """(value, provenance) or None where nothing covers the cell."""
-    if has_formula(order, klass) or use_oracle and oracle.covers(order, klass):
-        result = _table_count(order, klass, use_oracle)
-        return result.total, result.provenance
-    return None
-
-
 def cmd_table(args) -> int:
     orders = args.orders or list(range(2, args.max + 1))
     if args.which == 1:
         rows = []
-        incomplete = False
         for n in orders:
-            cells = {}
-            for col, klass in _CLASS_OF_COLUMN.items():
-                cells[col] = _table1_cell(n, klass, args.oracle)
-                if cells[col] is None:
-                    incomplete = True
+            cells = []
+            for klass in CLASSES:
+                cells.append(_table_count(n, klass, args.oracle)
+                             if covered(n, klass, args.oracle) else None)
             rows.append((n, cells))
         if args.format == "json":
             for n, cells in rows:
                 record = {"n": n}
-                for col in TABLE1_COLUMNS:
-                    cell = cells[col]
-                    record[col] = None if cell is None else str(cell[0])
-                    record[col + "_provenance"] = None if cell is None else cell[1]
+                for col, cell in zip(TABLE1_COLUMNS, cells):
+                    record[col] = None if cell is None else str(cell.total)
+                    record[col + "_provenance"] = None if cell is None else cell.provenance
                 print(_json_line(record))
         else:
             sep = "," if args.format == "csv" else "\t"
             print(sep.join(("n",) + TABLE1_COLUMNS))
             for n, cells in rows:
                 out = [str(n)]
-                for col in TABLE1_COLUMNS:
-                    cell = cells[col]
-                    out.append("n/a" if cell is None else str(cell[0]))
+                for cell in cells:
+                    out.append("n/a" if cell is None else str(cell.total))
                 print(sep.join(out))
-        if incomplete and args.strict:
+        if args.strict and any(None in cells for _, cells in rows):
             return EXIT_UNSUPPORTED
         return EXIT_OK
     # table 2: valency columns for one class
@@ -345,6 +332,9 @@ def main(argv=None) -> int:
     except ValueError as exc:  # a library call rejected an argument
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError:  # a sieve or table larger than the memory at hand
+        print("error: not enough memory for this request", file=sys.stderr)
+        return EXIT_UNSUPPORTED
     finally:
         if digit_limit is not None:
             sys.set_int_max_str_digits(digit_limit)

@@ -11,7 +11,7 @@ results needed at one sweep order: a few (order, class) entries for n, n+1,
 (n+1)/2, or p and p^2.  Orders that counting.has_formula does not cover
 fall back to the exhaustive oracle where oracle.covers says it answers:
 always for (p+1)/2 = 2 and for the non-CI counts at p^2 = 9, and at the
-other orders with allow_oracle (verify --oracle).
+other orders with allow_oracle (verify --oracle): the rule `covered`.
 
 The four L2.* keys are cycle-index lemmas checked symbolically over the
 formal variables x_1, x_2, ... at a parameter m >= 1; everything else is
@@ -91,17 +91,10 @@ def _check_3_1(p):
     return _poly_str(lhs), _poly_str(rhs), lhs == rhs
 
 
-def _check_3_1p(p):
-    q = (p + 1) // 2
-    lhs = count_by_formula(p, "u").total
-    rhs = _count(q, "d").total
-    return str(lhs), str(rhs), lhs == rhs
-
-
-def _check_3_2(p):
-    q = (p + 1) // 2
-    lhs = count_by_formula(p, "su").total
-    rhs = _count(q, "sd").total
+def _check_halved(p, klass, klass_q):
+    """3.1' (u, d), 3.2 (su, sd) and 3.6 (su, t): a count at p and at (p+1)/2."""
+    lhs = count_by_formula(p, klass).total
+    rhs = _count((p + 1) // 2, klass_q).total
     return str(lhs), str(rhs), lhs == rhs
 
 
@@ -125,13 +118,6 @@ def _check_3_4(n):
 def _check_3_5(n):
     lhs = count_by_formula(n, "sd").total
     rhs = count_by_formula(n, "t").total
-    return str(lhs), str(rhs), lhs == rhs
-
-
-def _check_3_6(p):
-    q = (p + 1) // 2
-    lhs = count_by_formula(p, "su").total
-    rhs = count_by_formula(q, "t").total
     return str(lhs), str(rhs), lhs == rhs
 
 
@@ -267,23 +253,18 @@ def _check_5_6(n):
     return str(lhs), str(rhs), lhs == rhs
 
 
-def _sd_total_or_zero(n: int) -> int:
+def _self_complementary(n: int, klass: str) -> int:
     # An even-order self-complementary circulant would need valency (n-1)/2,
     # impossible for even n; the count is 0 without any formula.
     if n % 2 == 0:
         return 0
-    return count_by_formula(n, "sd").total
+    return count_by_formula(n, klass).total
 
 
-def _check_6_1(n):
-    lhs = alternating_sum(n, "d")
-    rhs = _sd_total_or_zero(n)
-    return str(lhs), str(rhs), lhs == rhs
-
-
-def _check_6_2(n):
-    lhs = alternating_sum(n, "u")
-    rhs = count_by_formula(n, "su").total
+def _check_alternating(n, klass, sc):
+    """6.1 (d, sd) and 6.2 (u, su): an alternating sum and a count."""
+    lhs = alternating_sum(n, klass)
+    rhs = _self_complementary(n, sc)
     return str(lhs), str(rhs), lhs == rhs
 
 
@@ -299,20 +280,13 @@ def _check_6_4(p):
     return str(lhs), str(rhs), lhs == rhs
 
 
-def _check_6_5(n):
-    even, odd = even_odd_split(n, "d")
-    cd = count_by_formula(n, "d").total
-    sd = _sd_total_or_zero(n)
-    holds = (2 * even == cd + sd) and (2 * odd == cd - sd)
-    return f"({even}, {odd})", f"(({cd}+{sd})/2, ({cd}-{sd})/2)", holds
-
-
-def _check_6_6(n):
-    even, odd = even_odd_split(n, "u")
-    cu = count_by_formula(n, "u").total
-    su = count_by_formula(n, "su").total
-    holds = (2 * even == cu + su) and (2 * odd == cu - su)
-    return f"({even}, {odd})", f"(({cu}+{su})/2, ({cu}-{su})/2)", holds
+def _check_split(n, klass, sc):
+    """6.5 (d, sd) and 6.6 (u, su): a parity split and (C +- C_s)/2."""
+    even, odd = even_odd_split(n, klass)
+    c = count_by_formula(n, klass).total
+    s = _self_complementary(n, sc)
+    holds = (2 * even == c + s) and (2 * odd == c - s)
+    return f"({even}, {odd})", f"(({c}+{s})/2, ({c}-{s})/2)", holds
 
 
 def _check_6_7(p):
@@ -387,11 +361,10 @@ def _app_3_5(n):
     return p is not None and p % 4 == 3
 
 
-def _formula_or_desk_oracle(klass):
-    """Evaluable where a closed form covers the class, or the oracle may run
-    and covers it."""
-    return lambda n, allow_oracle: (has_formula(n, klass)
-                                    or (allow_oracle and oracle.covers(n, klass)))
+def covered(n: int, klass: str, allow_oracle: bool) -> bool:
+    """Does a closed form cover the class at order n, or may the oracle run
+    and does it cover it?"""
+    return has_formula(n, klass) or (allow_oracle and oracle.covers(n, klass))
 
 
 def _app_prime_square(n):
@@ -417,19 +390,24 @@ class _Identity(NamedTuple):
 
 _REGISTRY = [
     _Identity("3.1", "c_u(p,z) = c_d((p+1)/2, z^2)", _half_successor_prime, _check_3_1),
-    _Identity("3.1'", "C_u(p) = C_d((p+1)/2)", _half_successor_prime, _check_3_1p),
-    _Identity("3.2", "C_su(p) = C_sd((p+1)/2)", _half_successor_prime, _check_3_2),
+    _Identity("3.1'", "C_u(p) = C_d((p+1)/2)", _half_successor_prime,
+              lambda p: _check_halved(p, "u", "d")),
+    _Identity("3.2", "C_su(p) = C_sd((p+1)/2)", _half_successor_prime,
+              lambda p: _check_halved(p, "su", "sd")),
     _Identity("3.3", "2 c_o(p,z) = c_o(p+1,z) + 1", _nearly_doubled_odd, _check_3_3),
     _Identity("3.3'", "2 C_o(p) = C_o(p+1) + 1", _nearly_doubled_odd, _check_3_3p),
     _Identity("3.4", "C_su(n) = 0 when some prime divisor is 3 mod 4",
-              _app_3_4, _check_3_4, _formula_or_desk_oracle("su")),
+              _app_3_4, _check_3_4,
+              lambda n, allow_oracle: covered(n, "su", allow_oracle)),
     _Identity("3.5", "C_sd(n) = C_t(n) at n = p, p^2 with p = 3 mod 4",
               _app_3_5, _check_3_5),
     _Identity("3.6", "C_su(p) = C_t((p+1)/2) when p = 5 mod 8",
-              lambda n: _half_successor_prime(n) and n % 8 == 5, _check_3_6),
+              lambda n: _half_successor_prime(n) and n % 8 == 5,
+              lambda p: _check_halved(p, "su", "t")),
     _Identity("3.7", "C_sd(p) = C_t(p) + C_su(p)", _odd_prime, _check_3_7),
     _Identity("3.8", "C_u(2n, 2r+1) = C_u(2n, 2r)",
-              lambda n: n >= 2 and n % 2 == 0, _check_3_8, _formula_or_desk_oracle("u")),
+              lambda n: n >= 2 and n % 2 == 0, _check_3_8,
+              lambda n, allow_oracle: covered(n, "u", allow_oracle)),
     _Identity("4.1", "2 C_sd(p) = C_u(p) + C_su(p)", _odd_prime, _check_4_1),
     _Identity("4.1'", "C_u(p) = 2 C_sd(p) = 2 C_t(p) when p = 3 mod 4",
               lambda n: _odd_prime(n) and n % 4 == 3, _check_4_1p),
@@ -461,16 +439,17 @@ _REGISTRY = [
               _app_prime_square, _check_5_5),
     _Identity("5.6", "C_sd(p^2) = C_su(p^2) + C_t(p^2) + 2 C_su(p) C_t(p)",
               _app_prime_square, _check_5_6),
-    _Identity("6.1", "c_d(n,-1) = C_sd(n)", lambda n: has_formula(n, "d"), _check_6_1),
+    _Identity("6.1", "c_d(n,-1) = C_sd(n)", lambda n: has_formula(n, "d"),
+              lambda n: _check_alternating(n, "d", "sd")),
     _Identity("6.2", "c_u(n,z)|z^2=-1 = C_su(n)", lambda n: has_formula(n, "su"),
-              _check_6_2),
+              lambda n: _check_alternating(n, "u", "su")),
     _Identity("6.3", "c_o(n,-1) in {0,1} by divisor congruences",
               lambda n: has_formula(n, "d"), _check_6_3),
     _Identity("6.4", "2 c_d(p,-1) = c_u(p,1) + c_u(p, sqrt(-1))", _odd_prime, _check_6_4),
     _Identity("6.5", "directed even/odd valency split against (C_d +- C_sd)/2",
-              lambda n: has_formula(n, "d"), _check_6_5),
+              lambda n: has_formula(n, "d"), lambda n: _check_split(n, "d", "sd")),
     _Identity("6.6", "undirected semi-valency split against (C_u +- C_su)/2",
-              lambda n: has_formula(n, "su"), _check_6_6),
+              lambda n: has_formula(n, "su"), lambda n: _check_split(n, "u", "su")),
     _Identity("6.7", "even-semi-valency undirected count = C_sd(p)", _odd_prime, _check_6_7),
     _Identity("L2.1", "cycle-index lemma", _positive, _lemma_2_1),
     _Identity("L2.4", "cycle-index lemma", _positive, _lemma_2_4),

@@ -8,6 +8,8 @@ import pytest
 
 from circenum import cli, oracle
 from circenum.cli import main
+from circenum.counting import CLASSES
+from circenum.identities import covered
 
 from golden import ORIENTED_CORRECTIONS, TABLE1, TABLE2_U
 
@@ -104,6 +106,72 @@ def test_table1_unsupported_rows_marked(capsys):
 def test_table1_strict_exit(capsys):
     code, _, _ = run(capsys, "table", "1", "--orders", "50", "--strict")
     assert code == 3
+    # the formulas and the oracle together fill every cell to 16
+    code, out, _ = run(capsys, "table", "1", "--max", "16", "--oracle", "--strict")
+    assert code == 0 and "n/a" not in out
+
+
+# oracle rows at 2 and 8, a formula row at 13, a mixed row at 14, u alone at
+# 18 and nothing at 50
+_TABLE1_PINNED = {
+    "text": (
+        "n\tC_d\tC_u\tC_o\tC_sd\tC_su\tC_t\n"
+        "2\t2\t2\t1\t0\t0\t0\n"
+        "8\t46\t12\t9\t0\t0\t0\n"
+        "13\t352\t14\t63\t8\t2\t6\n"
+        "14\t1400\t48\t125\t0\t0\t0\n"
+        "18\tn/a\t192\tn/a\tn/a\tn/a\tn/a\n"
+        "50\tn/a\tn/a\tn/a\tn/a\tn/a\tn/a\n"),
+    "csv": (
+        "n,C_d,C_u,C_o,C_sd,C_su,C_t\n"
+        "2,2,2,1,0,0,0\n"
+        "8,46,12,9,0,0,0\n"
+        "13,352,14,63,8,2,6\n"
+        "14,1400,48,125,0,0,0\n"
+        "18,n/a,192,n/a,n/a,n/a,n/a\n"
+        "50,n/a,n/a,n/a,n/a,n/a,n/a\n"),
+    "json": (
+        '{"C_d":"2","C_d_provenance":"oracle","C_o":"1","C_o_provenance":"oracle",'
+        '"C_sd":"0","C_sd_provenance":"oracle","C_su":"0","C_su_provenance":"oracle",'
+        '"C_t":"0","C_t_provenance":"oracle","C_u":"2","C_u_provenance":"oracle","n":2}\n'
+        '{"C_d":"46","C_d_provenance":"oracle","C_o":"9","C_o_provenance":"oracle",'
+        '"C_sd":"0","C_sd_provenance":"oracle","C_su":"0","C_su_provenance":"oracle",'
+        '"C_t":"0","C_t_provenance":"oracle","C_u":"12","C_u_provenance":"oracle","n":8}\n'
+        '{"C_d":"352","C_d_provenance":"formula","C_o":"63","C_o_provenance":"formula",'
+        '"C_sd":"8","C_sd_provenance":"formula","C_su":"2","C_su_provenance":"formula",'
+        '"C_t":"6","C_t_provenance":"formula","C_u":"14","C_u_provenance":"formula","n":13}\n'
+        '{"C_d":"1400","C_d_provenance":"formula","C_o":"125","C_o_provenance":"formula",'
+        '"C_sd":"0","C_sd_provenance":"oracle","C_su":"0","C_su_provenance":"oracle",'
+        '"C_t":"0","C_t_provenance":"oracle","C_u":"48","C_u_provenance":"formula","n":14}\n'
+        '{"C_d":null,"C_d_provenance":null,"C_o":null,"C_o_provenance":null,'
+        '"C_sd":null,"C_sd_provenance":null,"C_su":null,"C_su_provenance":null,'
+        '"C_t":null,"C_t_provenance":null,"C_u":"192","C_u_provenance":"oracle","n":18}\n'
+        '{"C_d":null,"C_d_provenance":null,"C_o":null,"C_o_provenance":null,'
+        '"C_sd":null,"C_sd_provenance":null,"C_su":null,"C_su_provenance":null,'
+        '"C_t":null,"C_t_provenance":null,"C_u":null,"C_u_provenance":null,"n":50}\n'),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(_TABLE1_PINNED))
+def test_table1_pinned_in_three_formats(capsys, fmt):
+    argv = ["--format", fmt, "table", "1", "--orders", "2,8,13,14,18,50", "--oracle"]
+    assert run(capsys, *argv) == (0, _TABLE1_PINNED[fmt], "")
+    # --strict prints the same table, then exits 3 for the n/a cells
+    assert run(capsys, *argv, "--strict") == (3, _TABLE1_PINNED[fmt], "")
+
+
+@pytest.mark.parametrize("flags", [(), ("--oracle",)], ids=["formula", "oracle"])
+def test_table1_cells_follow_the_coverage_rule(capsys, flags):
+    # n/a exactly where identities.covered, the rule the registry reads, fails
+    allow_oracle = bool(flags)
+    code, out, _ = run(capsys, "--format", "csv", "table", "1",
+                       "--orders", ",".join(map(str, range(1, 31))), *flags)
+    assert code == 0
+    for line in out.splitlines()[1:]:
+        n, *fields = line.split(",")
+        for klass, field in zip(CLASSES, fields, strict=True):
+            assert (field == "n/a") == (not covered(int(n), klass, allow_oracle)), \
+                (n, klass)
 
 
 @pytest.mark.parametrize("flags", [(), ("--oracle",)], ids=["formula", "oracle"])
@@ -247,6 +315,22 @@ def test_unsupported_order_exits_once(capsys, argv, order, klass):
     assert "Traceback" not in err
     hinted = lines[0].endswith(" (try --oracle for desk-scale orders)")
     assert hinted == ("--oracle" not in argv and oracle.covers(order, klass))
+
+
+@pytest.mark.parametrize("name,argv", [
+    ("nearly_doubled_primes", "primes --nearly-doubled --limit 100000000000"),
+    ("cunningham_pairs", "primes --chain --ptilde 3 --kmax 100000000000"),
+])
+def test_request_beyond_memory_exits_three(capsys, monkeypatch, name, argv):
+    # stands in for a sieve larger than the address space; nothing is allocated
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, name, exhausted)
+    code, out, err = run(capsys, *argv.split())
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert "Traceback" not in err
 
 
 def test_usage_error_exit_code(capsys):

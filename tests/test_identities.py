@@ -206,6 +206,30 @@ def test_verify_digest_unchanged():
         "3c3603fab1755ea3b278ff21aab45513ac23b9ee287f73c02eaaa59c18020e83"
 
 
+def test_shared_checkers_digest_to_1000():
+    # 3.1', 3.2 and 3.6 share one checker, as do 6.1/6.2 and 6.5/6.6: their
+    # reports to order 1000 (953), past the range of the digest above,
+    # hashed the same way
+    reports = verify_range(keys=("3.1'", "3.2", "3.6", "6.1", "6.2", "6.5", "6.6"),
+                           order_bound=1000, lemma_bound=0)
+    assert len(reports) == 953
+    text = "\n".join(json.dumps([r.key, r.order, r.status, r.lhs, r.rhs])
+                     for r in reports)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "1fb686c065ba85bc6c78248be4d3792faae9cc69f9f9285e9e208c5100ff262c"
+
+
+@pytest.mark.parametrize("allow_oracle", [False, True])
+def test_oracle_backed_keys_follow_the_coverage_rule(allow_oracle):
+    # 3.4 reads C_su and 3.8 reads c_u; each is evaluable exactly where
+    # covered, the rule table 1 reads too, holds for its class
+    for key, klass in (("3.4", "su"), ("3.8", "u")):
+        for n in range(1, 61):
+            if applicable(key, n):
+                assert evaluable(key, n, allow_oracle) == \
+                    identities.covered(n, klass, allow_oracle), (key, n)
+
+
 # --- the per-order enumerator memo ----------------------------------------------
 
 ENUMERATORS = ("prime_enumerator", "twice_prime_enumerator",
