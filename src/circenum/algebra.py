@@ -8,9 +8,7 @@ group,
 substitute a polynomial in z (or a constant) for each variable x_r, and divide
 exactly by n.  This module supplies the three representations involved:
 
-* UniPoly    -- univariate integer polynomials in z (the counting series),
-                evaluated at -1 as p(-1) and at a square root of -1 as
-                p.at_i();
+* UniPoly    -- univariate integer polynomials in z (the counting series);
 * CycleIndex -- the divisor-indexed term list of I_n, read off the
                 divisor-totient table of numtheory and cached;
 * SymPoly    -- sparse multivariate polynomials over Q in the formal variables
@@ -171,27 +169,12 @@ class UniPoly:
 
     def __call__(self, at: int) -> int:
         cs = self.coeffs
-        if at == 1:
+        if at == 1:  # totals of long series: one sum, no Horner products
             return sum(cs)
-        if at == -1:
-            return sum(cs[0::2]) - sum(cs[1::2])
-        if at == 0:
-            return cs[0] if cs else 0
         result = 0
         for c in reversed(cs):
             result = result * at + c
         return result
-
-    def at_i(self) -> int:
-        """Evaluate at z = i, a square root of -1: sum_{r even} (-1)^(r/2) * c_r.
-
-        Every odd-power coefficient must vanish, or the value is not an integer.
-        """
-        for r in range(1, len(self.coeffs), 2):
-            if self.coeffs[r]:
-                raise ValueError(
-                    f"gaussian-unit evaluation needs even powers only; z^{r} present")
-        return sum(self.coeffs[0::4]) - sum(self.coeffs[2::4])
 
     def __repr__(self) -> str:
         return f"UniPoly({list(self.coeffs)})"

@@ -18,9 +18,11 @@ t (tournament).  Formulas exist for three order shapes:
 
 Every substitution is a _SUBST entry; _cyclic is the one place that pairs
 it with its cycle index.  d, u, o admit generating polynomials by valency;
-sd, su, t are bare totals.  Every division is performed exactly over the
-integers, so any transcription slip surfaces as an InexactDivisionError
-instead of a silently wrong count.
+sd, su, t are bare totals.  even_odd_split is the one reading of a valency
+series other than its total, and alternating_sum is the difference of its
+two parts.  Every division is performed exactly over the integers, so any
+transcription slip surfaces as an InexactDivisionError instead of a
+silently wrong count.
 
 count_by_formula is the one dispatch from an order to its enumerator.
 Inside an order_memo() scope it computes each (order, class) once; outside
@@ -109,9 +111,8 @@ def _cyclic(p: int, klass: str) -> tuple[CycleIndex, Substitution]:
 
 
 def _result(order: int, klass: str, poly: UniPoly) -> CountResult:
-    if klass in VALENCY_CLASSES:
-        return CountResult(order, klass, poly(1), poly)
-    return CountResult(order, klass, poly(0))
+    return CountResult(order, klass, poly(1),
+                       poly if klass in VALENCY_CLASSES else None)
 
 
 def prime_enumerator(p: int, klass: str) -> CountResult:
@@ -231,10 +232,10 @@ def count_by_formula(order: int, klass: str) -> CountResult:
 
 
 def alternating_sum(n: int, klass: str) -> int:
-    """Evaluate the class's valency series at -1 (u: at a square root of -1)."""
-    _require_class(klass, VALENCY_CLASSES)
-    poly = count_by_formula(n, klass).by_valency
-    return poly.at_i() if klass == "u" else poly(-1)
+    """The class's valency series at z = -1 (u: at z^2 = -1), which is its
+    parity split's even part minus its odd part."""
+    even, odd = even_odd_split(n, klass)
+    return even - odd
 
 
 def oriented_alternating_expected(n: int) -> int:
@@ -255,22 +256,17 @@ def oriented_alternating_expected(n: int) -> int:
 
 
 def even_odd_split(n: int, klass: str) -> tuple[int, int]:
-    """Totals by valency parity: d splits on r mod 2, u on r mod 4 in {0, 2}.
+    """Totals by valency parity: d and o on r mod 2, u on r mod 4 in {0, 2}.
 
     The undirected split is only meaningful at odd orders, where every valency
     is even and the semi-valency parity distinguishes r = 0 and r = 2 mod 4.
     """
-    _require_class(klass, ("d", "u"))
+    _require_class(klass, VALENCY_CLASSES)
     if klass == "u" and n % 2 == 0:
         raise UnsupportedOrderError("undirected even/odd split needs odd order")
-    poly = count_by_formula(n, klass).by_valency
-    if klass == "d":
-        even = sum(poly.coeffs[0::2])
-        odd = sum(poly.coeffs[1::2])
-    else:
-        even = sum(c for r, c in enumerate(poly.coeffs) if r % 4 == 0)
-        odd = sum(c for r, c in enumerate(poly.coeffs) if r % 4 == 2)
-    return even, odd
+    cs = count_by_formula(n, klass).by_valency.coeffs
+    step = 2 if klass == "u" else 1
+    return sum(cs[0::2 * step]), sum(cs[step::2 * step])
 
 
 def mixed_sd(p: int) -> int:

@@ -46,6 +46,30 @@ def test_unipoly_stretch():
     assert UniPoly([1, 2, 3]).stretch(2).coeffs == (1, 0, 2, 0, 3)
 
 
+def test_unipoly_stretch_rejects_factor_zero():
+    with pytest.raises(ValueError):
+        UniPoly([1, 2]).stretch(0)
+
+
+def test_polys_are_immutable():
+    with pytest.raises(AttributeError):
+        UniPoly([1, 2]).coeffs = (3,)
+    with pytest.raises(AttributeError):
+        SymPoly.constant(1).denominator = 2
+
+
+def test_unipoly_hash_ignores_trailing_zeros():
+    assert hash(UniPoly([1, 2])) == hash(UniPoly([1, 2, 0]))
+    assert len({UniPoly([1, 2]), UniPoly([1, 2, 0])}) == 1
+
+
+def test_negative_powers_rejected():
+    with pytest.raises(ValueError):
+        UniPoly.one_plus(1) ** -1
+    with pytest.raises(ValueError):
+        SymPoly.constant(2) ** -1
+
+
 def test_unipoly_exact_division():
     assert UniPoly([2, 4]).divide_exact(2).coeffs == (1, 2)
     with pytest.raises(InexactDivisionError):
@@ -57,6 +81,14 @@ def test_unipoly_poly_division():
     assert numerator.divide_exact_poly(UniPoly.one_plus(1)).coeffs == (1, 2, 1)
     with pytest.raises(InexactDivisionError):
         UniPoly([1, 1, 1]).divide_exact_poly(UniPoly.one_plus(1))
+
+
+def test_unipoly_poly_division_edge_cases():
+    with pytest.raises(ValueError):
+        UniPoly([2, 2]).divide_exact_poly(UniPoly([1, 2]))
+    with pytest.raises(ValueError):
+        UniPoly([2, 2]).divide_exact_poly(UniPoly())
+    assert UniPoly().divide_exact_poly(UniPoly.one_plus(1)).is_zero()
 
 
 # --- cycle index and substitution --------------------------------------------
@@ -286,18 +318,6 @@ def test_paired_power_sum_matches_two_substitutions(key):
 def test_eval_poly_at_minus_one():
     assert UniPoly([1, 2, 3])(-1) == 2
     assert UniPoly()(-1) == 0
-
-
-def test_eval_poly_gaussian_unit():
-    # 1 - 1 + 3 - 4 + 3 - 1 + 1 over even powers
-    p = UniPoly([1, 0, 1, 0, 3, 0, 4, 0, 3, 0, 1, 0, 1])
-    assert p.at_i() == 2
-    assert UniPoly().at_i() == 0
-    assert UniPoly.constant(-7).at_i() == -7
-    with pytest.raises(ValueError):
-        UniPoly([1, 1]).at_i()
-    with pytest.raises(ValueError):
-        UniPoly([0, 0, 0, 5]).at_i()
 
 
 # --- SymPoly ------------------------------------------------------------------

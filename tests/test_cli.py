@@ -205,6 +205,27 @@ def test_table2_oracle_fills_only_orders_without_a_formula(capsys):
     assert [int(c) for c in columns[2] if c] == TABLE2_U[13]
 
 
+@pytest.mark.parametrize("argv,out", [
+    (("--orders", "7,13,14", "--class", "u"),
+     '{"class":"u","coefficients":["1","0","1","0","1","0","1"],"n":7}\n'
+     '{"class":"u","coefficients":["1","0","1","0","3","0","4","0","3","0","1","0","1"],'
+     '"n":13}\n'
+     '{"class":"u","coefficients":["1","1","2","2","5","5","8","8","5","5","2","2","1","1"],'
+     '"n":14}\n'),
+    (("--orders", "8,9", "--class", "o", "--oracle"),
+     '{"class":"o","coefficients":["1","2","4","2"],"n":8}\n'
+     '{"class":"o","coefficients":["1","2","4","6","3"],"n":9}\n'),
+], ids=["u-formula", "o-oracle"])
+def test_table2_json_pinned(capsys, argv, out):
+    # every coefficient of each series, odd powers of the 2p u series too
+    assert run(capsys, "table", "2", *argv, "--format", "json") == (0, out, "")
+
+
+def test_table2_rejects_a_class_without_a_series(capsys):
+    assert run(capsys, "table", "2", "--orders", "13", "--class", "sd") == \
+        (2, "", "table 2 needs --class d, u or o, got 'sd'\n")
+
+
 def test_verify_all_exit_zero(capsys):
     code, out, _ = run(capsys, "verify", "--all", "--max", "40")
     assert code == 0
@@ -244,6 +265,13 @@ def test_primes_nearly_doubled(capsys):
     code, out, _ = run(capsys, "primes", "--nearly-doubled", "--limit", "1000")
     assert code == 0
     assert "-- 21 pairs" in out
+
+
+def test_primes_nearly_doubled_json_pinned(capsys):
+    # one record per pair and no summary line
+    assert run(capsys, "primes", "--nearly-doubled", "--limit", "20",
+               "--format", "json") == \
+        (0, '{"p":3,"q":2}\n{"p":5,"q":3}\n{"p":13,"q":7}\n', "")
 
 
 def test_primes_chain(capsys):

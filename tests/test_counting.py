@@ -313,6 +313,30 @@ def test_even_odd_split_rejects_even_order_undirected():
         even_odd_split(14, "u")
 
 
+def test_split_and_alternating_sum_match_filtered_coefficient_sums():
+    # the evaluators the split replaced: p(-1) filtered on r mod 2, and the
+    # u series at z = i filtered on r mod 4, which needs every odd power zero
+    cells = 0
+    for n in range(3, 400):
+        if formula_kind(n) is None:
+            continue
+        for klass in ("d", "o", "u"):
+            if klass == "u" and n % 2 == 0:
+                continue
+            cs = count_by_formula(n, klass).by_valency.coeffs
+            if klass == "u":
+                assert not any(cs[1::2]), n
+                want = (sum(c for r, c in enumerate(cs) if r % 4 == 0),
+                        sum(c for r, c in enumerate(cs) if r % 4 == 2))
+            else:
+                want = (sum(c for r, c in enumerate(cs) if r % 2 == 0),
+                        sum(c for r, c in enumerate(cs) if r % 2 == 1))
+            assert even_odd_split(n, klass) == want, (n, klass)
+            assert alternating_sum(n, klass) == want[0] - want[1], (n, klass)
+            cells += 1
+    assert cells == 342
+
+
 # --- mixed and non-CI ----------------------------------------------------------------
 
 def test_mixed_sd_values():
@@ -345,6 +369,11 @@ def test_log_concavity_violations_at_prime_squares():
 def test_log_concavity_with_supplied_counts():
     poly = count_by_formula(37, "u").by_valency
     assert log_concavity_probe(37, poly) == []
+
+
+def test_log_concavity_stops_at_a_short_series():
+    # the interior range reaches past the supplied series' last even power
+    assert log_concavity_probe(27, UniPoly([1, 0, 1])) == []
 
 
 # --- the substitution kernel ----------------------------------------------------

@@ -135,6 +135,11 @@ def test_nearly_doubled_primes_trivial_limit():
     assert nearly_doubled_primes(2) == []
 
 
+def test_nearly_doubled_primes_rejects_limit_below_2():
+    with pytest.raises(ValueError):
+        nearly_doubled_primes(1)
+
+
 def _reference_nearly_doubled(limit):
     # one is_prime per candidate q and p, kept independent of the sieve
     return [(q, 2 * q - 1) for q in range(2, (limit + 1) // 2 + 1)

@@ -38,6 +38,11 @@ def test_connection_set_predicates():
         ConnectionSet(5, frozenset({5}))
 
 
+def test_connection_set_needs_positive_order():
+    with pytest.raises(ValueError):
+        ConnectionSet(0, frozenset())
+
+
 # --- canonical form -------------------------------------------------------------
 
 def test_canonical_form_multiplier_pair():
