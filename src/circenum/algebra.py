@@ -19,13 +19,17 @@ exactly by n.  This module supplies the three representations involved:
                 to_sym renders I_n as one, with each term x_r^e rewritten by
                 a function (r, e) -> (t, f), meaning x_t^f, or dropped.
 
+Both polynomial classes take integer powers through the one repeated-squaring
+loop _power, and a UniPoly difference is the sum with the negated operand.
+
 Every value the formulas substitute is a binomial 1 + c*z^(k*r) (a constant
 when k = 0), prescribed either for x_r itself or for x_r^2; the latter is
-legal only where the exponent on x_r is even, which is asserted rather than
-assumed.  A substitution is therefore plain data, a pair of (coeff, stride,
-square) triples for even and odd r, and each term x_r^e expands directly as
-one binomial row.  Both power sums add those rows, weight folded in, into one
-coefficient list; the order-p^2 one reads y_r as x_r at z^p.
+legal only where the exponent on x_r is even, which is checked (ParityError)
+rather than assumed.  A substitution is therefore plain data, a pair of
+(coeff, stride, square) triples for even and odd r, and each term x_r^e
+expands directly as one binomial row.  Both power sums add those rows,
+weight folded in, into one coefficient list; the order-p^2 one reads y_r as
+x_r at z^p.
 """
 
 from __future__ import annotations
@@ -36,6 +40,20 @@ from typing import Callable, Iterable, NamedTuple
 
 from .errors import InexactDivisionError, ParityError
 from .numtheory import divisor_totients
+
+
+def _power(base, exponent: int, one):
+    """base ** exponent by repeated squaring, starting from the unit one."""
+    if exponent < 0:
+        raise ValueError("negative exponent")
+    result = one
+    while exponent:
+        if exponent & 1:
+            result = result * base
+        exponent >>= 1
+        if exponent:
+            base = base * base
+    return result
 
 
 class UniPoly:
@@ -94,15 +112,10 @@ class UniPoly:
         return UniPoly(out)
 
     def __sub__(self, other: "UniPoly") -> "UniPoly":
-        out = list(self.coeffs) + [0] * max(0, len(other.coeffs) - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            out[i] -= c
-        return UniPoly(out)
+        return self + other.scale(-1)
 
     def __mul__(self, other: "UniPoly") -> "UniPoly":
         a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return UniPoly()
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
@@ -111,18 +124,7 @@ class UniPoly:
         return UniPoly(out)
 
     def __pow__(self, exponent: int) -> "UniPoly":
-        if exponent < 0:
-            raise ValueError("negative exponent")
-        result = UniPoly((1,))
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return _power(self, exponent, UniPoly((1,)))
 
     def scale(self, c: int) -> "UniPoly":
         return UniPoly(c * x for x in self.coeffs)
@@ -151,8 +153,6 @@ class UniPoly:
         """Exact polynomial division (divisor must have leading coefficient 1)."""
         if divisor.is_zero() or divisor.coeffs[-1] != 1:
             raise ValueError("divisor must be monic and nonzero")
-        if self.is_zero():
-            return UniPoly()
         rem = list(self.coeffs)
         dd = divisor.degree
         quot = [0] * (len(rem) - dd)
@@ -369,18 +369,7 @@ class SymPoly:
         return SymPoly._of(out, self.denominator * other.denominator)
 
     def __pow__(self, exponent: int) -> "SymPoly":
-        if exponent < 0:
-            raise ValueError("negative exponent")
-        result = SymPoly.constant(1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return _power(self, exponent, SymPoly.constant(1))
 
     def scale(self, c) -> "SymPoly":
         """Multiply by c, an int or a Fraction."""

@@ -80,7 +80,7 @@ class CountResult(_CountFields):
 
 
 def _require_odd_prime(p: int) -> None:
-    if p < 3 or p % 2 == 0 or not is_prime(p):
+    if p % 2 == 0 or not is_prime(p):
         raise ValueError(f"expected an odd prime, got {p}")
 
 
@@ -176,7 +176,7 @@ def formula_kind(order: int) -> tuple[str, int] | None:
     if order % 2 == 0 and order // 2 >= 3 and is_prime(order // 2):
         return ("twice_prime", order // 2)
     root = isqrt(order)
-    if root * root == order and root % 2 == 1 and root >= 3 and is_prime(root):
+    if root * root == order and root % 2 == 1 and is_prime(root):
         return ("prime_squared", root)
     return None
 
@@ -296,9 +296,7 @@ def log_concavity_probe(order: int,
     seq = [by_valency.coeff(2 * r) for r in range(by_valency.degree // 2 + 1)]
     upper = (order - 1) // 2 - 1  # exclusive
     violations = []
-    for r in range(2, upper):
-        if r + 1 >= len(seq):
-            break
+    for r in range(2, min(upper, len(seq) - 1)):
         if seq[r] ** 2 < seq[r - 1] * seq[r + 1]:
             violations.append((r, seq[r - 1], seq[r], seq[r + 1]))
     return violations

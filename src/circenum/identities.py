@@ -45,7 +45,7 @@ class IdentityReport(NamedTuple):
 
 
 def _odd_prime(n: int) -> bool:
-    return n >= 3 and n % 2 == 1 and is_prime(n)
+    return n % 2 == 1 and is_prime(n)
 
 
 def _half_successor_prime(p: int) -> bool:

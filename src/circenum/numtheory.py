@@ -1,6 +1,6 @@
-"""Elementary number theory: one factorisation and the divisor-totient table
-over it (totient, divisors, the 3 mod 4 test), primality, 2-adic splits,
-nearly doubled primes and Cunningham chains of the second kind.
+"""Elementary number theory: one factorisation (read by the 3 mod 4 test) and
+the divisor-totient table over it (totient, divisors), primality over the
+2-adic split, nearly doubled primes and Cunningham chains of the second kind.
 
 All functions are pure and operate on Python integers of arbitrary size.
 """
@@ -60,10 +60,8 @@ def divisor_totients(n: int) -> list[tuple[int, int]]:
 
 
 def euler_phi(n: int) -> int:
-    """Count of units modulo n (order of the multiplicative group Z_n^*)."""
-    for p, _ in factorize(n):
-        n -= n // p
-    return n
+    """Count of units modulo n: the last phi(d) of the divisor-totient table."""
+    return divisor_totients(n)[-1][1]
 
 
 def divisors(n: int) -> list[int]:
@@ -88,11 +86,7 @@ def is_prime(n: int, rounds: int = 40) -> bool:
             return n == p
     if n < _TRIAL_BOUND:
         return True
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    _, d, s = odd_part_decomposition(n - 1)
     bases = list(_SMALL_PRIME_WITNESSES)
     if n >= _DETERMINISTIC_BOUND:
         import random   # only this branch needs it; it slows every cold start

@@ -555,8 +555,8 @@ def cayley_classes(n: int, klass: str) -> int:
             total += 1 << (pairs + self_negating)
         elif klass == "o":
             total += 3 ** pairs
-        else:  # t: pick exactly one of each negation pair
-            total += 0 if self_negating or n % 2 == 0 else 2 ** pairs
+        else:  # t: one of each negation pair; at even n, n/2 negates itself
+            total += 0 if self_negating else 2 ** pairs
     count, rem = divmod(total, len(units))
     if rem:
         raise InexactDivisionError(

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd
 
 import pytest
@@ -24,22 +25,46 @@ def test_unipoly_arithmetic():
     assert (one_plus_z * one_plus_z).coeffs == (1, 2, 1)
     assert (one_plus_z ** 4).coeffs == (1, 4, 6, 4, 1)
     assert (one_plus_z - one_plus_z).is_zero()
+    assert (UniPoly() * one_plus_z).is_zero() and (one_plus_z * UniPoly()).is_zero()
+    assert (UniPoly() * UniPoly()).is_zero()
     assert one_plus_z.scale(3).coeffs == (3, 3)
     assert UniPoly([1, 2, 3])(10) == 321
 
 
-def test_unipoly_evaluation_fast_paths_match_horner():
+def test_unipoly_evaluation_matches_power_sum():
+    # z = 1 takes the coefficient-sum path, every other point Horner's rule
     import random
     rng = random.Random(20261018)
     polys = [UniPoly(), UniPoly.constant(-4)]
     polys += [UniPoly(rng.randrange(-10 ** 6, 10 ** 6) for _ in range(rng.randrange(1, 40)))
               for _ in range(200)]
     for p in polys:
-        for at in (1, 0, -1):
-            horner = 0
-            for c in reversed(p.coeffs):
-                horner = horner * at + c
-            assert p(at) == horner, (p, at)
+        for at in (1, 0, -1, 2, -3):
+            assert p(at) == sum(c * at ** r for r, c in enumerate(p.coeffs)), (p, at)
+
+
+def test_unipoly_difference_is_coefficientwise():
+    import random
+    rng = random.Random(20261020)
+    for _ in range(200):
+        a, b = ([rng.randrange(-99, 100) for _ in range(length)]
+                for length in rng.sample(range(12), 2))
+        expected = UniPoly(x - y for x, y in zip_longest(a, b, fillvalue=0))
+        assert UniPoly(a) - UniPoly(b) == expected, (a, b)
+        assert (UniPoly(a) - UniPoly(a)).coeffs == ()
+
+
+def test_powers_are_repeated_products():
+    polys = [UniPoly([2, -1, 3]), UniPoly.one_plus(2, 5)]
+    syms = [SymPoly({((1, 1),): 1, ((2, 2),): Fraction(-1, 3)}),
+            SymPoly({(): 2, ((3, 1),): Fraction(1, 2)})]
+    for p, one in [(q, UniPoly.constant(1)) for q in polys] + \
+                  [(q, SymPoly.constant(1)) for q in syms]:
+        assert p ** 0 == one
+        product = one
+        for k in range(1, 7):
+            product = product * p
+            assert p ** k == product, (p, k)
 
 
 def test_unipoly_stretch():

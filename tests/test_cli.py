@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -518,6 +519,15 @@ def test_verify_csv_summary(capsys):
     lines = out.strip().split("\n")
     assert lines[0] == "key,formula,orders,holds,fails,status"
     assert lines[1] == '3.7,"C_sd(p) = C_t(p) + C_su(p)","3 5 7 11 13 17 19 23 29",9,0,holds'
+
+
+def test_verify_csv_digest_unchanged(capsys):
+    # the benchmark's "verify csv 100" query: all 38 summary rows, whose
+    # grouping by key the CSV writer relies on verify_range for
+    code, out, _ = run(capsys, "verify", "--all", "--max", "100", "--format", "csv")
+    assert code == 0 and len(out.splitlines()) == 39
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "3826081c5bc3682acf112662565018d98fd1f53d75a7ff828b0dab6dfcfe67c7"
 
 
 def test_closed_stdout_exits_141_without_traceback():

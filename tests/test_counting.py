@@ -1,5 +1,7 @@
+import ast
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +40,16 @@ def test_count_result_is_checked_and_immutable():
         result.total = 7
     with pytest.raises(AttributeError):
         result.note = "extra"
+
+
+def test_package_checks_by_raising_not_asserting():
+    # python -O strips assert statements, so exact division and the
+    # series/total invariant above must stay raises
+    package = Path(counting.__file__).parent
+    for source in sorted(package.glob("*.py")):
+        tree = ast.parse(source.read_text())
+        asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert asserts == [], (source.name, asserts)
 
 
 # --- prime order ---------------------------------------------------------------

@@ -1,4 +1,4 @@
-from math import isqrt, prod
+from math import gcd, isqrt, prod
 
 import pytest
 
@@ -14,6 +14,8 @@ def test_euler_phi_basics():
     assert euler_phi(1) == 1
     assert euler_phi(12) == 4
     assert euler_phi(97) == 96
+    for n in range(1, 501):
+        assert euler_phi(n) == sum(gcd(k, n) == 1 for k in range(1, n + 1)), n
 
 
 def test_euler_phi_rejects_zero():
@@ -93,6 +95,20 @@ def test_is_prime_above_64_bits():
     # forces the probabilistic branch: a 122-bit semiprime and a Mersenne prime
     assert not is_prime((2 ** 61 - 1) * (2 ** 61 + 15))
     assert is_prime(2 ** 89 - 1)
+
+
+@pytest.mark.parametrize("n, factors", [
+    # a strong pseudoprime to the bases 2, 3, 5 and 7
+    (3215031751, (151, 751, 28351)),
+    # a strong pseudoprime to the bases 2-31, caught by 37
+    (3825123056546413051, (149491, 747451, 34233211)),
+    # a strong pseudoprime to all twelve fixed bases: only the extra
+    # seeded bases above 2^64 catch it
+    (318665857834031151167461, (399165290221, 798330580441)),
+])
+def test_is_prime_rejects_strong_pseudoprimes(n, factors):
+    assert prod(factors) == n
+    assert not is_prime(n)
 
 
 def test_odd_part_decomposition():
