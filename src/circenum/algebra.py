@@ -158,8 +158,6 @@ class UniPoly:
         quot = [0] * (len(rem) - dd)
         for i in range(len(rem) - 1, dd - 1, -1):
             c = rem[i]
-            if c == 0:
-                continue
             quot[i - dd] = c
             for j, dc in enumerate(divisor.coeffs):
                 rem[i - dd + j] -= c * dc

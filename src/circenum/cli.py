@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import os
 import sys
@@ -148,10 +147,12 @@ def cmd_verify(args) -> int:
         for report in reports:
             print(_json_line(report.to_json()))
     elif args.format == "csv":
-        # one summary row per identity (verify_range groups reports by key)
+        # one summary row per identity, like a systematized list
         print("key,formula,orders,holds,fails,status")
-        for key, group in itertools.groupby(reports, key=lambda r: r.key):
-            group = list(group)
+        by_key: dict[str, list] = {}
+        for report in reports:
+            by_key.setdefault(report.key, []).append(report)
+        for key, group in by_key.items():
             formula = IDENTITIES[key].description
             orders = " ".join(str(r.order) for r in group)
             n_fail = sum(r.status == "fails" for r in group)

@@ -355,10 +355,8 @@ def _app_3_4(n):
 
 
 def _app_3_5(n):
-    if _odd_prime(n):
-        return n % 4 == 3
-    p = _odd_prime_square(n)
-    return p is not None and p % 4 == 3
+    kind = formula_kind(n)
+    return kind is not None and kind[0] != "twice_prime" and kind[1] % 4 == 3
 
 
 def covered(n: int, klass: str, allow_oracle: bool) -> bool:

@@ -1,6 +1,6 @@
-"""Elementary number theory: one factorisation (read by the 3 mod 4 test) and
-the divisor-totient table over it (totient, divisors), primality over the
-2-adic split, nearly doubled primes and Cunningham chains of the second kind.
+"""Elementary number theory: one factorisation (read by the totient and the
+3 mod 4 test) and the divisor-totient table over it (divisors), primality over
+the 2-adic split, nearly doubled primes and Cunningham chains of the second kind.
 
 All functions are pure and operate on Python integers of arbitrary size.
 """
@@ -60,8 +60,10 @@ def divisor_totients(n: int) -> list[tuple[int, int]]:
 
 
 def euler_phi(n: int) -> int:
-    """Count of units modulo n: the last phi(d) of the divisor-totient table."""
-    return divisor_totients(n)[-1][1]
+    """Count of units modulo n (order of the multiplicative group Z_n^*)."""
+    for p, _ in factorize(n):
+        n -= n // p
+    return n
 
 
 def divisors(n: int) -> list[int]:

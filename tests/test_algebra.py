@@ -102,10 +102,19 @@ def test_unipoly_exact_division():
 
 
 def test_unipoly_poly_division():
+    import random
     numerator = UniPoly([1, 3, 3, 1])  # (1+z)^3
     assert numerator.divide_exact_poly(UniPoly.one_plus(1)).coeffs == (1, 2, 1)
     with pytest.raises(InexactDivisionError):
         UniPoly([1, 1, 1]).divide_exact_poly(UniPoly.one_plus(1))
+    # quotients with zero coefficients, like the undirected series
+    assert UniPoly([1, 1, 0, 1, 1]).divide_exact_poly(UniPoly.one_plus(1)) == UniPoly.one_plus(3)
+    rng = random.Random(20261021)
+    for _ in range(200):
+        quotient = UniPoly(rng.choice((0, 0, rng.randrange(-9, 10)))
+                           for _ in range(rng.randrange(1, 15)))
+        divisor = UniPoly([rng.randrange(-9, 10) for _ in range(rng.randrange(4))] + [1])
+        assert (quotient * divisor).divide_exact_poly(divisor) == quotient, (quotient, divisor)
 
 
 def test_unipoly_poly_division_edge_cases():

@@ -522,8 +522,7 @@ def test_verify_csv_summary(capsys):
 
 
 def test_verify_csv_digest_unchanged(capsys):
-    # the benchmark's "verify csv 100" query: all 38 summary rows, whose
-    # grouping by key the CSV writer relies on verify_range for
+    # the benchmark's "verify csv 100" query: all 38 summary rows
     code, out, _ = run(capsys, "verify", "--all", "--max", "100", "--format", "csv")
     assert code == 0 and len(out.splitlines()) == 39
     assert hashlib.sha256(out.encode()).hexdigest() == \

@@ -32,6 +32,19 @@ def test_applicable_examples():
     assert applicable("6.1", 38) and not applicable("6.1", 50)
 
 
+def test_3_5_applies_at_primes_and_prime_squares_3_mod_4():
+    def prime(n):
+        return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+    def root(n):
+        r = round(n ** 0.5)
+        return r if r * r == n else None
+
+    for n in range(-5, 2500):
+        p = n if prime(n) else root(n) if n > 0 and root(n) and prime(root(n)) else None
+        assert applicable("3.5", n) == (p is not None and p % 4 == 3), n
+
+
 def test_evaluable_vs_applicable():
     # hypotheses hold at 21 but no formula or desk-scale oracle reaches it
     assert applicable("3.4", 21) and not evaluable("3.4", 21)
