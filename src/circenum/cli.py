@@ -3,8 +3,10 @@
 Subcommands: count, table, verify, primes, logconcave.  Exit codes follow a
 stable contract: 0 success / all identities hold, 1 identity or property
 violation, 2 usage error, 3 unsupported order, out-of-range oracle request or
-too little memory.  An unsupported order prints one `error:` line on stderr,
-from `main`; where --oracle was not given and the oracle covers the order and
+too little memory.  A malformed command fails before any count is computed,
+with one error line from the parser or, for a rule across arguments, from
+`main`.  An unsupported order prints one `error:` line on stderr, from
+`main`; where --oracle was not given and the oracle covers the order and
 class, the line suggests it.
 A reader that closes standard output early (as `| head` does) ends the run
 with 141 and no traceback, the status a shell reports for a filter killed by
@@ -57,19 +59,22 @@ def _get_count(order: int, klass: str, use_oracle: bool):
         raise UnsupportedOrderError(f"{exc} (try --oracle for desk-scale orders)") from None
 
 
+def _require_series(klass: str) -> None:
+    if klass not in VALENCY_CLASSES:
+        raise ValueError(f"class {klass!r} has no valency series")
+
+
 def cmd_count(args) -> int:
+    if args.poly or args.valency is not None:
+        _require_series(args.klass)
     result = _get_count(args.order, args.klass, args.oracle)
-    if (args.poly or args.valency is not None) and result.by_valency is None:
-        print(f"class {args.klass!r} has no valency series", file=sys.stderr)
-        return EXIT_USAGE
     if args.format == "json":
         print(_json_line(result.to_json()))
         return EXIT_OK
     if args.valency is not None:
         print(f"{result.by_valency.coeff(args.valency)} ({result.provenance})")
     elif args.poly:
-        coeffs = " ".join(str(c) for c in result.by_valency.coeffs)
-        print(f"{coeffs} ({result.provenance})")
+        print(*result.by_valency.coeffs, f"({result.provenance})")
     else:
         print(f"{result.total} ({result.provenance})")
     return EXIT_OK
@@ -111,9 +116,7 @@ def cmd_table(args) -> int:
         return EXIT_OK
     # table 2: valency columns for one class
     klass = args.klass
-    if klass not in VALENCY_CLASSES:
-        print(f"table 2 needs --class d, u or o, got {klass!r}", file=sys.stderr)
-        return EXIT_USAGE
+    _require_series(klass)
     columns = {n: _table_count(n, klass, args.oracle).by_valency for n in orders}
     top = max(p.degree for p in columns.values())
     # the undirected catalog is laid out by even valency only
@@ -135,11 +138,6 @@ def cmd_table(args) -> int:
 
 def cmd_verify(args) -> int:
     keys = None if args.all else tuple(args.identity)
-    if keys is not None:
-        unknown = [k for k in keys if k not in IDENTITY_KEYS]
-        if unknown:
-            print(f"unknown identity keys: {unknown}", file=sys.stderr)
-            return EXIT_USAGE
     reports = verify_range(keys, order_bound=args.max, lemma_bound=args.lemma_max,
                            allow_oracle=args.oracle)
     fails = sum(r.status == "fails" for r in reports)
@@ -180,10 +178,9 @@ def cmd_primes(args) -> int:
         if args.format != "json":
             print(f"-- {len(pairs)} pairs with p <= {args.limit}")
         return EXIT_OK
-    # chain mode
-    if args.ptilde is None or args.ptilde % 2 == 0 or args.ptilde < 1:
-        print("--ptilde must be a positive odd integer", file=sys.stderr)
-        return EXIT_USAGE
+    # chain mode; cunningham_pairs rejects an even or non-positive ptilde
+    if args.ptilde is None:
+        raise ValueError("--chain needs --ptilde")
     ks = cunningham_pairs(args.ptilde, args.kmax, rounds=args.mr_rounds)
     if args.format == "json":
         print(_json_line({"ptilde": args.ptilde, "k_max": args.kmax, "k": ks}))
@@ -277,8 +274,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="check counting identities")
     group = p_verify.add_mutually_exclusive_group(required=True)
     group.add_argument("--all", action="store_true")
-    group.add_argument("--identity", action="append",
-                       help="identity key, repeatable")
+    group.add_argument("--identity", action="append", choices=IDENTITY_KEYS,
+                       metavar="IDENTITY", help="identity key, repeatable")
     p_verify.add_argument("--max", type=_int_at_least(0), default=100,
                           help="largest order to instantiate")
     p_verify.add_argument("--lemma-max", type=_int_at_least(0), default=64,
@@ -329,7 +326,7 @@ def main(argv=None) -> int:
     except UnsupportedOrderError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except ValueError as exc:  # a library call rejected an argument
+    except ValueError as exc:  # an argument rule, the command's or a library's
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError:  # a sieve or table larger than the memory at hand

@@ -63,6 +63,13 @@ def test_count_valency_flag(capsys):
     assert code == 0 and out.strip() == "1360 (formula)"
 
 
+def test_count_poly_output_pinned(capsys):
+    # the benchmark's "count 1994 o" query: 1,995 coefficients, one line
+    code, out, _ = run(capsys, "count", "--order", "1994", "--class", "o", "--poly")
+    assert code == 0 and out.endswith(" (formula)\n")
+    assert hashlib.sha256(out.encode()).hexdigest().startswith("6465755ee4d5a41d")
+
+
 def test_count_poly_rejected_for_totals_only_class(capsys):
     code, _, err = run(capsys, "count", "--order", "13", "--class", "sd", "--poly")
     assert code == 2 and "valency series" in err
@@ -224,7 +231,7 @@ def test_table2_json_pinned(capsys, argv, out):
 
 def test_table2_rejects_a_class_without_a_series(capsys):
     assert run(capsys, "table", "2", "--orders", "13", "--class", "sd") == \
-        (2, "", "table 2 needs --class d, u or o, got 'sd'\n")
+        (2, "", "error: class 'sd' has no valency series\n")
 
 
 def test_verify_all_exit_zero(capsys):
@@ -255,11 +262,6 @@ def test_verify_repeated_key_runs_once(capsys):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out.strip().split("\n")[-1] == "-- 4 hold, 0 fail, 0 not applicable"
-
-
-def test_verify_unknown_key(capsys):
-    code, _, err = run(capsys, "verify", "--identity", "nope", "--max", "10")
-    assert code == 2 and "unknown" in err
 
 
 def test_primes_nearly_doubled(capsys):
@@ -368,7 +370,21 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("argv", [
+# refused by a rule across arguments, not by the parser; each before any work
+_REFUSED_BEFORE_WORK = [
+    "count --order 13 --class sd --poly",
+    "count --order 13 --class t --valency 0",
+    "count --order 15 --class sd --poly",  # no formula at 15 either
+    "count --order 17 --class su --oracle --poly",  # past the oracle's su range
+    "count --order 15 --class sd --oracle --poly",
+    "table 2 --orders 13 --class sd",
+]
+
+
+@pytest.mark.parametrize("argv", _REFUSED_BEFORE_WORK + [
+    "verify --identity nope --max 10",
+    "primes --chain --ptilde 2 --kmax 10",
+    "primes --chain --kmax 10",
     "table 2 --max 1",
     "primes --nearly-doubled --limit 1",
     "count --order -3 --class d",
@@ -390,6 +406,18 @@ def test_malformed_arguments_exit_two(capsys, argv):
     assert code == 2 and captured.out == ""
     assert "Traceback" not in captured.err and "<lambda>" not in captured.err
     assert sum("error" in line for line in captured.err.splitlines()) == 1
+
+
+def test_malformed_commands_are_refused_before_any_count(capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a count was computed for a malformed command")
+
+    monkeypatch.setattr(cli, "_get_count", no_work)
+    monkeypatch.setattr(cli, "_table_count", no_work)
+    for argv in _REFUSED_BEFORE_WORK:
+        code, out, err = run(capsys, *argv.split())
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and len(err.splitlines()) == 1, argv
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

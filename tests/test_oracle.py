@@ -919,7 +919,7 @@ def _set_walk_cayley_classes(n: int, klass: str) -> int:
         pairs = (len(cycles) - self_negating) // 2
         total += {"d": 2 ** len(cycles), "u": 2 ** (pairs + self_negating),
                   "o": 3 ** pairs,
-                  "t": 0 if self_negating or n % 2 == 0 else 2 ** pairs}[klass]
+                  "t": 0 if self_negating else 2 ** pairs}[klass]
     return total // len(units)
 
 
