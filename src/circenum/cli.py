@@ -263,8 +263,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("which", type=int, choices=(1, 2))
     p_table.add_argument("--max", type=_int_at_least(2), default=14)
     p_table.add_argument("--orders", type=_orders)
-    p_table.add_argument("--class", dest="klass", default="u",
-                         help="class for table 2 (d, u or o)")
+    p_table.add_argument("--class", dest="klass", default="u", choices=CLASSES,
+                         metavar="KLASS", help="class for table 2 (d, u or o)")
     _add_oracle_options(p_table, "fill cells without a formula from the oracle")
     p_table.add_argument("--strict", action="store_true",
                          help="exit 3 when any cell is unsupported")

@@ -4,14 +4,17 @@ Every identity has a key (the registry id used on the command line), an
 applicability predicate expressing its hypotheses, and a checker that
 recomputes BOTH sides through counting.count_by_formula, never one side from
 the other's intermediates, so the identities remain a genuine test of the
-formulas.  verify_range runs the checks at each order in one order_memo()
-scope, which sits in front of the enumerator calls: a hit there is the frozen
-CountResult a pure function would recompute, and the memo holds only the
-results needed at one sweep order: a few (order, class) entries for n, n+1,
-(n+1)/2, or p and p^2.  Orders that counting.has_formula does not cover
-fall back to the exhaustive oracle where oracle.covers says it answers:
-always for (p+1)/2 = 2 and for the non-CI counts at p^2 = 9, and at the
-other orders with allow_oracle (verify --oracle): the rule `covered`.
+formulas.  The eleven that equate integer combinations of class totals list
+their (coeff, order, class) terms in the registry and share one checker,
+_check_totals, which reads every total through _total.  verify_range runs
+the checks at each order in one order_memo() scope, which sits in front of
+the enumerator calls: a hit there is the frozen CountResult a pure function
+would recompute, and the memo holds only the results needed at one sweep
+order: a few (order, class) entries for n, n+1, (n+1)/2, or p and p^2.
+Orders that counting.has_formula does not cover fall back to the exhaustive
+oracle where oracle.covers says it answers: always for (p+1)/2 = 2 and for
+the non-CI counts at p^2 = 9, and at the other orders with allow_oracle
+(verify --oracle): the rule `covered`.
 
 The four L2.* keys are cycle-index lemmas checked symbolically over the
 formal variables x_1, x_2, ... at a parameter m >= 1; everything else is
@@ -91,11 +94,16 @@ def _check_3_1(p):
     return _poly_str(lhs), _poly_str(rhs), lhs == rhs
 
 
-def _check_halved(p, klass, klass_q):
-    """3.1' (u, d), 3.2 (su, sd) and 3.6 (su, t): a count at p and at (p+1)/2."""
-    lhs = count_by_formula(p, klass).total
-    rhs = _count((p + 1) // 2, klass_q).total
-    return str(lhs), str(rhs), lhs == rhs
+def _total(terms) -> int:
+    """The sum of coeff * C_klass(order) over (coeff, order, klass) terms."""
+    return sum(coeff * _count(n, klass).total for coeff, n, klass in terms)
+
+
+def _check_totals(first, *others):
+    """One integer combination of class totals equal to each of the others;
+    an empty combination is 0."""
+    lhs, rhs = _total(first), [_total(terms) for terms in others]
+    return str(lhs), " = ".join(map(str, rhs)), all(r == lhs for r in rhs)
 
 
 def _check_3_3(p):
@@ -110,48 +118,11 @@ def _check_3_3p(p):
     return str(lhs), str(rhs), lhs == rhs
 
 
-def _check_3_4(n):
-    lhs = _count(n, "su").total
-    return str(lhs), "0", lhs == 0
-
-
-def _check_3_5(n):
-    lhs = count_by_formula(n, "sd").total
-    rhs = count_by_formula(n, "t").total
-    return str(lhs), str(rhs), lhs == rhs
-
-
-def _check_3_7(p):
-    lhs = count_by_formula(p, "sd").total
-    rhs = count_by_formula(p, "t").total + count_by_formula(p, "su").total
-    return str(lhs), str(rhs), lhs == rhs
-
-
 def _check_3_8(n):
     poly = _count(n, "u").by_valency
     odd_part = [poly.coeff(2 * r + 1) for r in range(poly.degree // 2 + 1)]
     even_part = [poly.coeff(2 * r) for r in range(poly.degree // 2 + 1)]
     return str(odd_part), str(even_part), odd_part == even_part
-
-
-def _check_4_1(p):
-    lhs = 2 * count_by_formula(p, "sd").total
-    rhs = count_by_formula(p, "u").total + count_by_formula(p, "su").total
-    return str(lhs), str(rhs), lhs == rhs
-
-
-def _check_4_1p(p):
-    cu = count_by_formula(p, "u").total
-    sd2 = 2 * count_by_formula(p, "sd").total
-    t2 = 2 * count_by_formula(p, "t").total
-    return str(cu), f"{sd2} = {t2}", cu == sd2 == t2
-
-
-def _check_4_1pp(p):
-    cu = count_by_formula(p, "u").total
-    a = count_by_formula(p, "sd").total + count_by_formula(p, "t").total
-    b = count_by_formula(p, "su").total + 2 * count_by_formula(p, "t").total
-    return str(cu), f"{a} = {b}", cu == a == b
 
 
 def _check_4_2(p, klass):
@@ -178,19 +149,6 @@ def _check_4_3p(p):
     top = max(cu_p.degree, cu_2q.degree)
     lhs = [2 * cu_p.coeff(r) for r in range(2, top + 1, 4)]
     rhs = [cu_2q.coeff(r) for r in range(2, top + 1, 4)]
-    return str(lhs), str(rhs), lhs == rhs
-
-
-def _check_4_6(p):
-    lhs = 4 * count_by_formula(p, "d").total - count_by_formula(p + 1, "d").total
-    rhs = 4 * count_by_formula(p, "u").total - count_by_formula(p + 1, "u").total
-    return str(lhs), str(rhs), lhs == rhs
-
-
-def _check_4_6p(p):
-    lhs = 4 * (count_by_formula(p, "d").total - count_by_formula(p, "u").total)
-    rhs = (count_by_formula(p + 1, "d").total
-           - count_by_formula(p + 1, "u").total)
     return str(lhs), str(rhs), lhs == rhs
 
 
@@ -389,28 +347,32 @@ class _Identity(NamedTuple):
 _REGISTRY = [
     _Identity("3.1", "c_u(p,z) = c_d((p+1)/2, z^2)", _half_successor_prime, _check_3_1),
     _Identity("3.1'", "C_u(p) = C_d((p+1)/2)", _half_successor_prime,
-              lambda p: _check_halved(p, "u", "d")),
+              lambda p: _check_totals([(1, p, "u")], [(1, (p + 1) // 2, "d")])),
     _Identity("3.2", "C_su(p) = C_sd((p+1)/2)", _half_successor_prime,
-              lambda p: _check_halved(p, "su", "sd")),
+              lambda p: _check_totals([(1, p, "su")], [(1, (p + 1) // 2, "sd")])),
     _Identity("3.3", "2 c_o(p,z) = c_o(p+1,z) + 1", _nearly_doubled_odd, _check_3_3),
     _Identity("3.3'", "2 C_o(p) = C_o(p+1) + 1", _nearly_doubled_odd, _check_3_3p),
     _Identity("3.4", "C_su(n) = 0 when some prime divisor is 3 mod 4",
-              _app_3_4, _check_3_4,
+              _app_3_4, lambda n: _check_totals([(1, n, "su")], []),
               lambda n, allow_oracle: covered(n, "su", allow_oracle)),
     _Identity("3.5", "C_sd(n) = C_t(n) at n = p, p^2 with p = 3 mod 4",
-              _app_3_5, _check_3_5),
+              _app_3_5, lambda n: _check_totals([(1, n, "sd")], [(1, n, "t")])),
     _Identity("3.6", "C_su(p) = C_t((p+1)/2) when p = 5 mod 8",
               lambda n: _half_successor_prime(n) and n % 8 == 5,
-              lambda p: _check_halved(p, "su", "t")),
-    _Identity("3.7", "C_sd(p) = C_t(p) + C_su(p)", _odd_prime, _check_3_7),
+              lambda p: _check_totals([(1, p, "su")], [(1, (p + 1) // 2, "t")])),
+    _Identity("3.7", "C_sd(p) = C_t(p) + C_su(p)", _odd_prime,
+              lambda p: _check_totals([(1, p, "sd")], [(1, p, "t"), (1, p, "su")])),
     _Identity("3.8", "C_u(2n, 2r+1) = C_u(2n, 2r)",
               lambda n: n >= 2 and n % 2 == 0, _check_3_8,
               lambda n, allow_oracle: covered(n, "u", allow_oracle)),
-    _Identity("4.1", "2 C_sd(p) = C_u(p) + C_su(p)", _odd_prime, _check_4_1),
+    _Identity("4.1", "2 C_sd(p) = C_u(p) + C_su(p)", _odd_prime,
+              lambda p: _check_totals([(2, p, "sd")], [(1, p, "u"), (1, p, "su")])),
     _Identity("4.1'", "C_u(p) = 2 C_sd(p) = 2 C_t(p) when p = 3 mod 4",
-              lambda n: _odd_prime(n) and n % 4 == 3, _check_4_1p),
-    _Identity("4.1''", "C_u(p) = C_sd(p) + C_t(p) = C_su(p) + 2 C_t(p)",
-              _odd_prime, _check_4_1pp),
+              lambda n: _odd_prime(n) and n % 4 == 3,
+              lambda p: _check_totals([(1, p, "u")], [(2, p, "sd")], [(2, p, "t")])),
+    _Identity("4.1''", "C_u(p) = C_sd(p) + C_t(p) = C_su(p) + 2 C_t(p)", _odd_prime,
+              lambda p: _check_totals([(1, p, "u")], [(1, p, "sd"), (1, p, "t")],
+                                      [(1, p, "su"), (2, p, "t")])),
     _Identity("4.2", "4 C_u(p) = C_u(p+1) + 2 Cbar_u(2pt+1)",
               _nearly_doubled_odd, lambda p: _check_4_2(p, "u")),
     _Identity("4.3", "2 c_u(p,z) = c_u(p+1,z)/(1+z) + cbar_u(2pt+1, z^(2^k))",
@@ -421,9 +383,12 @@ _REGISTRY = [
               _nearly_doubled_odd, lambda p: _check_4_2(p, "d")),
     _Identity("4.5", "2 c_d(p,z) = c_d(p+1,z)/(1+z) + cbar_u(2pt+1, z^(2^k))",
               _nearly_doubled_odd, lambda p: _check_4_3(p, "d")),
-    _Identity("4.6", "4 C_d(p) - C_d(p+1) = 4 C_u(p) - C_u(p+1)",
-              _nearly_doubled_odd, _check_4_6),
-    _Identity("4.6'", "4 C_dnu(p) = C_dnu(p+1)", _nearly_doubled_odd, _check_4_6p),
+    _Identity("4.6", "4 C_d(p) - C_d(p+1) = 4 C_u(p) - C_u(p+1)", _nearly_doubled_odd,
+              lambda p: _check_totals([(4, p, "d"), (-1, p + 1, "d")],
+                                      [(4, p, "u"), (-1, p + 1, "u")])),
+    _Identity("4.6'", "4 C_dnu(p) = C_dnu(p+1)", _nearly_doubled_odd,
+              lambda p: _check_totals([(4, p, "d"), (-4, p, "u")],
+                                      [(1, p + 1, "d"), (-1, p + 1, "u")])),
     _Identity("4.7", "2 (1+z) c_dnu(p,z) = c_dnu(p+1,z)",
               _nearly_doubled_odd, _check_4_7),
     _Identity("4.7'", "2 (C_dnu(p,r) + C_dnu(p,r-1)) = C_dnu(p+1,r)",

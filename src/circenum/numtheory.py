@@ -1,6 +1,7 @@
 """Elementary number theory: one factorisation (read by the totient and the
 3 mod 4 test) and the divisor-totient table over it (divisors), primality over
-the 2-adic split, nearly doubled primes and Cunningham chains of the second kind.
+the 2-adic split, nearly doubled primes and Cunningham chains of the second kind
+(Proth's theorem decides a chain candidate ptilde*2^k + 1 with ptilde < 2^k).
 
 All functions are pure and operate on Python integers of arbitrary size.
 """
@@ -180,7 +181,7 @@ def _jacobi(a: int, n: int) -> int:
 
 
 def _proth_prime(n: int, rounds: int) -> bool:
-    """Primality of a Proth number n = ptilde*2^k + 1 (odd ptilde < 2^k) above 2^64.
+    """Primality of a Proth number n = ptilde*2^k + 1 (odd ptilde < 2^k), any size.
 
     Proth's theorem: with (a|n) = -1, n is prime iff a^((n-1)/2) = -1 mod n,
     so one exponentiation decides and a "prime" answer is a proof.  A witness
@@ -206,10 +207,10 @@ def cunningham_pairs(ptilde: int, k_max: int, rounds: int = 40) -> list[int]:
 
     First each odd prime l < 1000 strikes the k where l properly divides
     ptilde*2^k + 1; those k recur with period ord_l(2).  A k is tested only
-    when k and k + 1 both survive, and each number is tested at most once.  Above 2^64 a number with
-    ptilde < 2^k is decided by Proth's theorem, so a reported prime is proven;
-    with ptilde >= 2^k it gets Miller-Rabin with `rounds` extra bases (see
-    is_prime), as does every number below 2^64.
+    when k and k + 1 both survive, and each number is tested at most once.
+    A number with ptilde < 2^k is decided by Proth's theorem at any size, so
+    a reported prime is proven; one with ptilde >= 2^k goes to is_prime,
+    which adds `rounds` extra Miller-Rabin bases above 2^64.
     """
     if ptilde < 1 or ptilde % 2 == 0:
         raise ValueError(f"cunningham_pairs requires odd ptilde >= 1, got {ptilde}")
@@ -236,10 +237,8 @@ def cunningham_pairs(ptilde: int, k_max: int, rounds: int = 40) -> list[int]:
     def prime_at(k: int) -> bool:
         if k not in known:
             n = (ptilde << k) + 1
-            if n >= _DETERMINISTIC_BOUND and ptilde < (1 << k):
-                known[k] = _proth_prime(n, rounds)
-            else:
-                known[k] = is_prime(n, rounds)
+            known[k] = (_proth_prime(n, rounds) if ptilde < (1 << k)
+                        else is_prime(n, rounds))
         return known[k]
 
     return [k for k in range(k_max + 1)

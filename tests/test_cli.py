@@ -396,6 +396,8 @@ _REFUSED_BEFORE_WORK = [
     "verify --all --lemma-max -1",
     "table 1 --orders 5,,7",
     "table 2 --orders , --class d",
+    "table 1 --orders 13 --class xx",
+    "table 2 --orders 13 --class xx",
 ])
 def test_malformed_arguments_exit_two(capsys, argv):
     try:

@@ -319,3 +319,36 @@ def test_sweep_computes_each_enumerator_once_per_order(monkeypatch):
     verify_range(order_bound=300, lemma_bound=128)
     assert len(calls) == len(set(calls)) == 568   # 2,428 with no memo
     assert len({call[1:] for call in calls}) == 504
+
+
+# --- the failing path ---------------------------------------------------------
+
+def _failing_keys_with_one_total_raised(monkeypatch, raised, n):
+    """Keys that fail at order n once count_by_formula, as identities reads
+    it, returns the total-only count `raised` = (order, class) one too high."""
+    real = identities.count_by_formula
+
+    def off_by_one(order, klass):
+        result = real(order, klass)
+        if (order, klass) != raised:
+            return result
+        return counting.CountResult(order, klass, result.total + 1, None,
+                                    result.provenance)
+
+    monkeypatch.setattr(identities, "count_by_formula", off_by_one)
+    reports = [check(key, n) for key in IDENTITY_KEYS if evaluable(key, n)]
+    return {r.key: r for r in reports if r.status == "fails"}
+
+
+def test_a_raised_su_total_fails_every_identity_that_reads_it(monkeypatch):
+    failing = _failing_keys_with_one_total_raised(monkeypatch, (7, "su"), 7)
+    assert set(failing) == {"3.4", "3.7", "4.1", "4.1''", "6.2", "6.6"}
+    # the second equality of the chain fails while the first still holds
+    assert (failing["4.1''"].lhs, failing["4.1''"].rhs) == ("4", "4 = 5")
+
+
+def test_a_raised_t_total_fails_every_identity_that_reads_it(monkeypatch):
+    failing = _failing_keys_with_one_total_raised(monkeypatch, (7, "t"), 7)
+    assert set(failing) == {"3.5", "3.7", "4.1'", "4.1''"}
+    failing = _failing_keys_with_one_total_raised(monkeypatch, (7, "t"), 13)
+    assert set(failing) == {"3.6"}

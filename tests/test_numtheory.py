@@ -221,6 +221,15 @@ def test_proth_prime(k, prime):
     assert _proth_prime(9 * 2 ** k + 1, 40) == prime
 
 
+def test_proth_prime_agrees_with_is_prime_below_2_20():
+    # cunningham_pairs trusts Proth's theorem below 2^64 as well
+    proth = [ptilde * 2 ** k + 1 for k in range(1, 20)
+             for ptilde in range(1, min(2 ** k, 2 ** (20 - k)), 2)]
+    assert len(proth) > 1000
+    for n in proth:
+        assert _proth_prime(n, 40) == is_prime(n), n
+
+
 def test_proth_prime_square_falls_back_to_miller_rabin(monkeypatch):
     n = (2 ** 40 + 1) ** 2
     assert n == (2 ** 39 + 1) * 2 ** 41 + 1
