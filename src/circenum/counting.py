@@ -24,9 +24,11 @@ two parts.  Every division is performed exactly over the integers, so any
 transcription slip surfaces as an InexactDivisionError instead of a
 silently wrong count.
 
-count_by_formula is the one dispatch from an order to its enumerator.
-Inside an order_memo() scope it computes each (order, class) once; outside
-one it always computes.
+count_by_formula is the one dispatch from an order to its enumerator: it
+asks formula_kind once and raises UnsupportedOrderError where no closed form
+covers the order and class.  Inside an order_memo() scope it computes each
+covered (order, class) once, and a hit asks formula_kind nothing; outside one
+it always computes.
 """
 
 from __future__ import annotations
@@ -181,12 +183,16 @@ def formula_kind(order: int) -> tuple[str, int] | None:
     return None
 
 
-def has_formula(order: int, klass: str) -> bool:
-    """Does a closed form cover this order and class?  Order-2p formulas
-    exist for d, u, o only."""
-    kind = formula_kind(order)
+def _covers(kind: tuple[str, int] | None, klass: str) -> bool:
+    """Does the closed form of this formula_kind cover the class?  Order-2p
+    formulas exist for d, u, o only."""
     return kind is not None and klass in (VALENCY_CLASSES if kind[0] == "twice_prime"
                                           else CLASSES)
+
+
+def has_formula(order: int, klass: str) -> bool:
+    """Does a closed form cover this order and class?"""
+    return _covers(formula_kind(order), klass)
 
 
 # (order, class) -> CountResult while an order_memo() scope is open
@@ -217,7 +223,7 @@ def count_by_formula(order: int, klass: str) -> CountResult:
     kind = formula_kind(order)
     if kind is None:
         raise UnsupportedOrderError(f"no counting formula for order {order}")
-    if not has_formula(order, klass):
+    if not _covers(kind, klass):
         raise UnsupportedOrderError(f"no order-2p formula for class {klass!r}")
     shape, p = kind
     if shape == "prime":

@@ -68,10 +68,13 @@ def _odd_prime_square(n: int):
 
 
 def _count(n: int, klass: str) -> CountResult:
-    """The closed form where one covers the order, else the oracle."""
-    if has_formula(n, klass):
+    """The closed form where one covers the order, else the oracle.
+    count_by_formula decides which, so a hit in its order_memo() asks no
+    formula question."""
+    try:
         return count_by_formula(n, klass)
-    return oracle.enumerate_circulants(n, klass)
+    except UnsupportedOrderError:
+        return oracle.enumerate_circulants(n, klass)
 
 
 def _poly_str(p: UniPoly) -> str:

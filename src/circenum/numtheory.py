@@ -1,14 +1,18 @@
 """Elementary number theory: one factorisation (read by the totient and the
 3 mod 4 test) and the divisor-totient table over it (divisors), primality over
-the 2-adic split, nearly doubled primes and Cunningham chains of the second kind
-(Proth's theorem decides a chain candidate ptilde*2^k + 1 with ptilde < 2^k).
+the 2-adic split, nearly doubled primes and Cunningham chains of the second kind.
+A chain candidate ptilde*2^k + 1 passes two sieves before any test: a walk over
+the odd primes below 1000, then one gcd with the product of the primes from
+1000 up to sixteen times the candidates' bit length (capped); Proth's theorem
+then decides it when ptilde < 2^k.
 
 All functions are pure and operate on Python integers of arbitrary size.
 """
 
 from __future__ import annotations
 
-from math import isqrt
+from functools import cache
+from math import gcd, isqrt, prod
 from typing import NamedTuple
 
 # Deterministic Miller-Rabin witnesses: the twelve primes up to 37 are correct
@@ -154,6 +158,18 @@ def nearly_doubled_primes(limit: int) -> list[PrimePair]:
 # Odd primes below this bound sieve the chain candidates before any test.
 _SIEVE_BOUND = 1000
 
+# However large k_max, the gcd stage takes no prime above this cap.  Sieving to
+# it and multiplying its primes take about 2 s, while the candidates that reach
+# it have 65,000 bits and more, where one Proth test takes minutes.
+_STRIKE_CAP = 1 << 20
+
+
+def _strike_bound(ptilde: int, k_max: int) -> int:
+    """The primes in [_SIEVE_BOUND, this bound) strike the chain candidates up
+    to k_max by one gcd with their product: sixteen times the candidates' bit
+    length, at most _STRIKE_CAP."""
+    return min(16 * (k_max + ptilde.bit_length()), _STRIKE_CAP)
+
 
 def _primes_below(bound: int) -> list[int]:
     """Odd primes below bound (sieve of Eratosthenes)."""
@@ -205,17 +221,23 @@ def cunningham_pairs(ptilde: int, k_max: int, rounds: int = 40) -> list[int]:
     q = ptilde*2^k + 1, p = ptilde*2^(k+1) + 1 = 2q - 1.  The smaller index of
     each pair is reported.
 
-    First each odd prime l < 1000 strikes the k where l properly divides
-    ptilde*2^k + 1; those k recur with period ord_l(2).  A k is tested only
-    when k and k + 1 both survive, and each number is tested at most once.
-    A number with ptilde < 2^k is decided by Proth's theorem at any size, so
-    a reported prime is proven; one with ptilde >= 2^k goes to is_prime,
-    which adds `rounds` extra Miller-Rabin bases above 2^64.
+    Two sieves run before any test.  First each odd prime l < 1000 strikes
+    the k where l properly divides ptilde*2^k + 1; those k recur with period
+    ord_l(2).  Then, once some pair k, k + 1 has survived that walk, one gcd
+    with the product of the primes in [1000, B) strikes each number of a
+    surviving pair that has a proper factor there, where B is sixteen times
+    the bit length of ptilde*2^k_max (capped, see _strike_bound).  A k is
+    tested only when k and k + 1 both survive both sieves, and each number is
+    tested at most once.  A number with ptilde < 2^k is decided by Proth's
+    theorem at any size, so a reported prime is proven; one with
+    ptilde >= 2^k goes to is_prime, which adds `rounds` extra Miller-Rabin
+    bases above 2^64.
     """
     if ptilde < 1 or ptilde % 2 == 0:
         raise ValueError(f"cunningham_pairs requires odd ptilde >= 1, got {ptilde}")
+    small = _primes_below(_SIEVE_BOUND)
     alive = bytearray([1]) * (k_max + 2)
-    for ell in _primes_below(_SIEVE_BOUND):
+    for ell in small:
         # r = ptilde*2^k mod l takes each value at most once per period
         start = r = ptilde % ell
         hit, period = None, k_max + 2
@@ -231,15 +253,21 @@ def cunningham_pairs(ptilde: int, k_max: int, rounds: int = 40) -> list[int]:
         if (ptilde << hit) + 1 == ell:  # the number is l itself: keep it
             hit += period
         alive[hit::period] = bytes(len(range(hit, k_max + 2, period)))
+    walked = [k for k in range(k_max + 1) if alive[k] and alive[k + 1]]
+    if not walked:
+        return []
+    primorial = prod(_primes_below(_strike_bound(ptilde, k_max))[len(small):])
 
-    known: dict[int, bool] = {}
+    @cache
+    def rough(k: int) -> bool:
+        # a gcd of n itself means n is a prime (or a product of primes) of the range
+        n = (ptilde << k) + 1
+        return gcd(n, primorial) in (1, n)
 
+    @cache
     def prime_at(k: int) -> bool:
-        if k not in known:
-            n = (ptilde << k) + 1
-            known[k] = (_proth_prime(n, rounds) if ptilde < (1 << k)
-                        else is_prime(n, rounds))
-        return known[k]
+        n = (ptilde << k) + 1
+        return _proth_prime(n, rounds) if ptilde < (1 << k) else is_prime(n, rounds)
 
-    return [k for k in range(k_max + 1)
-            if alive[k] and alive[k + 1] and prime_at(k) and prime_at(k + 1)]
+    return [k for k in walked
+            if rough(k) and rough(k + 1) and prime_at(k) and prime_at(k + 1)]

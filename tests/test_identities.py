@@ -321,6 +321,31 @@ def test_sweep_computes_each_enumerator_once_per_order(monkeypatch):
     assert len({call[1:] for call in calls}) == 504
 
 
+@pytest.mark.parametrize("n,klass", [(13, "sd"), (26, "o"), (49, "t")])
+def test_a_memo_hit_asks_no_formula_question(monkeypatch, n, klass):
+    # prime, 2p and p^2: the miss asks formula_kind once, the hit not at all
+    asked = []
+    real = counting.formula_kind
+
+    def spy(order):
+        asked.append(order)
+        return real(order)
+
+    monkeypatch.setattr(counting, "formula_kind", spy)
+    with counting.order_memo():
+        first = identities._count(n, klass)
+        assert asked == [n]
+        assert identities._count(n, klass) is first
+    assert asked == [n]
+
+
+def test_count_falls_back_to_the_oracle_without_a_formula():
+    # 2p has no sd formula, and 15 no formula at all
+    with counting.order_memo():
+        assert identities._count(14, "sd").provenance == "oracle"
+        assert identities._count(15, "u").provenance == "oracle"
+
+
 # --- the failing path ---------------------------------------------------------
 
 def _failing_keys_with_one_total_raised(monkeypatch, raised, n):

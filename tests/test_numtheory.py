@@ -203,12 +203,51 @@ def _reference_pairs(ptilde, k_max):
 
 @pytest.mark.parametrize("ptilde,kmax",
                          [(p, 300) for p in list(range(1, 64, 2)) + [105, 1155, 15015]]
-                         + [(2 ** 64 + 1, 90), (3 ** 41, 90), (2 ** 70 + 3, 90)])
+                         + [(2 ** 64 + 1, 90), (3 ** 41, 90), (2 ** 70 + 3, 90)]
+                         + [(p, k) for p in (1, 3, 9, 15) for k in range(59, 66)])
 def test_cunningham_pairs_match_reference_loop(ptilde, kmax):
-    # sieve, pair-aware testing and Proth against one is_prime per candidate;
-    # ptilde >= 2^k at the smallest k of every case, and above 2^64 (where
-    # Miller-Rabin stays) for the three large ptilde up to k = 64-70
+    # both sieves, pair-aware testing and Proth against one is_prime per
+    # candidate; ptilde >= 2^k at the smallest k of every case, and above 2^64
+    # (where Miller-Rabin stays) for the three large ptilde up to k = 64-70;
+    # k_max 59-65 is where the primorial's bound first passes 1000
     assert cunningham_pairs(ptilde, kmax) == _reference_pairs(ptilde, kmax)
+
+
+def test_strike_bound_first_passes_the_walk_bound():
+    assert numtheory._strike_bound(1, 61) < numtheory._SIEVE_BOUND
+    assert numtheory._strike_bound(1, 62) > numtheory._SIEVE_BOUND
+    assert numtheory._strike_bound(9, 58) < numtheory._SIEVE_BOUND
+    assert numtheory._strike_bound(9, 59) > numtheory._SIEVE_BOUND
+
+
+def test_strike_bound_is_capped():
+    # no search runs: a k_max of 10^9 would otherwise sieve to 1.6 * 10^10
+    assert numtheory._strike_bound(9, 10 ** 9) == numtheory._STRIKE_CAP
+    assert numtheory._strike_bound(2 ** 70 + 3, 10 ** 9) <= numtheory._STRIKE_CAP
+
+
+def test_a_prime_of_the_primorial_range_is_not_struck():
+    # 9*2^7 + 1 = 1153 is a prime between 1000 and the bound at (9, 1000); it
+    # divides the primorial, so its gcd with it is itself, and the pair
+    # k = 6 (577, 1153) is reported
+    assert is_prime(1153) and 9 * 2 ** 7 + 1 == 1153
+    assert numtheory._SIEVE_BOUND < 1153 < numtheory._strike_bound(9, 1000)
+    assert 6 in cunningham_pairs(9, 1000)
+
+
+def test_primorial_stage_spares_proth_tests(monkeypatch):
+    tested = []
+
+    def spy(n, rounds):
+        tested.append(n)
+        return _proth_prime(n, rounds)
+
+    monkeypatch.setattr(numtheory, "_proth_prime", spy)
+    assert cunningham_pairs(9, 1000) == [1, 2, 6, 42]
+    assert len(tested) == len(set(tested)) == 19   # 41 after the walk alone
+    primes_in_range = [p for p in range(1001, numtheory._strike_bound(9, 1000))
+                       if is_prime(p)]
+    assert all(gcd(n, prod(primes_in_range)) in (1, n) for n in tested)
 
 
 @pytest.mark.parametrize("k,prime", [
