@@ -16,7 +16,7 @@ from .algebra import CycleIndex, UniPoly, cycle_index, substitute, to_sym
 from .counting import (CLASSES, CountResult, alternating_sum, count_by_formula,
                        even_odd_split, formal_undirected, log_concavity_probe,
                        mixed_sd, prime_enumerator, prime_squared_enumerator,
-                       twice_prime_enumerator)
+                       twice_prime_enumerator, value_at)
 from .identities import (IDENTITY_KEYS, IdentityReport, applicable, check,
                          verify_range)
 from .oracle import (ConnectionSet, canonical_form, cayley_classes,

@@ -28,8 +28,8 @@ import os
 import sys
 
 from .errors import UnsupportedOrderError
-from .counting import (CLASSES, VALENCY_CLASSES, count_by_formula, has_formula,
-                       log_concavity_probe)
+from .counting import (CLASSES, VALENCY_CLASSES, CountResult, count_by_formula,
+                       has_formula, log_concavity_probe, value_at)
 from .identities import IDENTITIES, IDENTITY_KEYS, covered, verify_range
 from .numtheory import cunningham_pairs, nearly_doubled_primes
 from . import oracle
@@ -42,16 +42,21 @@ EXIT_BROKEN_PIPE = 141
 
 FORMATS = ("text", "csv", "json")
 TABLE1_COLUMNS = ("C_d", "C_u", "C_o", "C_sd", "C_su", "C_t")
+_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def _json_line(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+    return _JSON.encode(record)
 
 
-def _get_count(order: int, klass: str, use_oracle: bool):
+def _get_count(order: int, klass: str, use_oracle: bool, total_only: bool = False):
+    """The oracle's count, or the closed form's: its series, or with
+    total_only its total alone, read at z = 1 without the series."""
     if use_oracle:
         return oracle.enumerate_circulants(order, klass)
     try:
+        if total_only:
+            return CountResult(order, klass, value_at(order, klass))
         return count_by_formula(order, klass)
     except UnsupportedOrderError as exc:
         if not oracle.covers(order, klass):
@@ -65,9 +70,11 @@ def _require_series(klass: str) -> None:
 
 
 def cmd_count(args) -> int:
-    if args.poly or args.valency is not None:
+    series = args.poly or args.valency is not None
+    if series:
         _require_series(args.klass)
-    result = _get_count(args.order, args.klass, args.oracle)
+    result = _get_count(args.order, args.klass, args.oracle,
+                        total_only=not series and args.format != "json")
     if args.format == "json":
         print(_json_line(result.to_json()))
         return EXIT_OK
@@ -80,10 +87,11 @@ def cmd_count(args) -> int:
     return EXIT_OK
 
 
-def _table_count(order: int, klass: str, use_oracle: bool):
+def _table_count(order: int, klass: str, use_oracle: bool, total_only: bool = False):
     """A table cell's count: the formula where one exists, else the oracle
     where --oracle is given."""
-    return _get_count(order, klass, use_oracle and not has_formula(order, klass))
+    return _get_count(order, klass, use_oracle and not has_formula(order, klass),
+                      total_only)
 
 
 def cmd_table(args) -> int:
@@ -93,7 +101,7 @@ def cmd_table(args) -> int:
         for n in orders:
             cells = []
             for klass in CLASSES:
-                cells.append(_table_count(n, klass, args.oracle)
+                cells.append(_table_count(n, klass, args.oracle, total_only=True)
                              if covered(n, klass, args.oracle) else None)
             rows.append((n, cells))
         if args.format == "json":

@@ -17,18 +17,21 @@ t (tournament).  Formulas exist for three order shapes:
   order-p substitution and y_r its z -> z^p companion.
 
 Every substitution is a _SUBST entry; _cyclic is the one place that pairs
-it with its cycle index.  d, u, o admit generating polynomials by valency;
-sd, su, t are bare totals.  even_odd_split is the one reading of a valency
-series other than its total, and alternating_sum is the difference of its
-two parts.  Every division is performed exactly over the integers, so any
-transcription slip surfaces as an InexactDivisionError instead of a
-silently wrong count.
+it with its cycle index, and the one place that fixes z at a point.  d, u, o
+admit generating polynomials by valency; sd, su, t are bare totals.
+value_at reads a class at z = 1, -1 or i without its series: the enumerator
+bodies run on the substitution with every stride 0, so a value costs one
+big-integer power per divisor.  alternating_sum is the value at -1 (u: at i),
+and even_odd_split halves the total plus and minus it.  Every division is
+performed exactly over the integers, so any transcription slip surfaces as
+an InexactDivisionError instead of a silently wrong count.
 
-count_by_formula is the one dispatch from an order to its enumerator: it
-asks formula_kind once and raises UnsupportedOrderError where no closed form
-covers the order and class.  Inside an order_memo() scope it computes each
-covered (order, class) once, and a hit asks formula_kind nothing; outside one
-it always computes.
+_evaluate is the one dispatch from an order to its closed form, for
+count_by_formula's series and value_at's points alike: it asks formula_kind
+once and raises UnsupportedOrderError where no closed form covers the order
+and class.  Inside an order_memo() scope each covered (order, class) series
+and (order, class, point) value is computed once, and a hit asks
+formula_kind nothing; outside one they are always computed.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from contextlib import contextmanager
 from math import isqrt
 from typing import NamedTuple
 
-from .errors import ConsistencyError, UnsupportedOrderError
+from .errors import ConsistencyError, InexactDivisionError, UnsupportedOrderError
 from .algebra import (CycleIndex, Substitution, UniPoly, cycle_index,
                       paired_power_sum, power_sum, substitute)
 from .numtheory import has_prime_divisor_3_mod_4, is_prime
@@ -105,11 +108,35 @@ _SUBST: dict[str, Substitution] = {
 }
 
 
-def _cyclic(p: int, klass: str) -> tuple[CycleIndex, Substitution]:
+# each point z as the q with z = i^q
+_QUARTER_TURNS = {1: 0, 1j: 1, -1: 2}
+
+
+def _z_power(point: complex, k: int) -> int:
+    """z^k at z = point, where that is an integer."""
+    turns = _QUARTER_TURNS[point] * k % 4
+    if turns % 2:
+        raise UnsupportedOrderError("no integer value at z = i here")
+    return 1 - turns
+
+
+def _cyclic(p: int, klass: str,
+            point: complex | None = None) -> tuple[CycleIndex, Substitution]:
     """The cycle index I_m the class substitutes into, and its substitution:
-    m = p - 1, or (p - 1)/2 for the undirected pair."""
+    m = p - 1, or (p - 1)/2 for the undirected pair.
+
+    With a point, z is fixed there: every stride becomes 0 and an odd-r
+    coefficient takes the factor z^stride.  That needs z^stride = +-1, so
+    z^(stride*r) is z^stride at odd r and 1 at even r.
+    """
     m = (p - 1) // 2 if klass in ("u", "su") else p - 1
-    return cycle_index(m), _SUBST[klass]
+    subst = _SUBST[klass]
+    if point is not None:
+        (even, even_stride, even_square), (odd, odd_stride, odd_square) = subst
+        _z_power(point, even_stride)
+        subst = ((even, 0, even_square),
+                 (odd * _z_power(point, odd_stride), 0, odd_square))
+    return cycle_index(m), subst
 
 
 def _result(order: int, klass: str, poly: UniPoly) -> CountResult:
@@ -117,26 +144,38 @@ def _result(order: int, klass: str, poly: UniPoly) -> CountResult:
                        poly if klass in VALENCY_CLASSES else None)
 
 
+# The enumerator bodies: the series, or with a point its value there as a
+# constant.
+
+def _prime_poly(p: int, klass: str, point: complex | None = None) -> UniPoly:
+    return substitute(*_cyclic(p, klass, point))
+
+
+def _twice_prime_poly(p: int, klass: str, point: complex | None = None) -> UniPoly:
+    # the elements of order p and 2p: the prime-order series at x_r -> x_r^2
+    poly = substitute(*_cyclic(p, klass, point), exponent_factor=2)
+    if klass != "o":  # the self-negating element p, in or out; o leaves it out
+        poly = poly * (UniPoly.one_plus(1) if point is None
+                       else UniPoly.constant(1 + _z_power(point, 1)))
+    return poly
+
+
 def prime_enumerator(p: int, klass: str) -> CountResult:
     """Count circulants of odd prime order p in the given class."""
     _require_odd_prime(p)
     _require_class(klass)
-    return _result(p, klass, substitute(*_cyclic(p, klass)))
+    return _result(p, klass, _prime_poly(p, klass))
 
 
 def twice_prime_enumerator(p: int, klass: str) -> CountResult:
     """Count circulants of order 2p (p an odd prime); classes d, u, o only."""
     _require_odd_prime(p)
     _require_class(klass, VALENCY_CLASSES)
-    # the elements of order p and 2p: the prime-order series at x_r -> x_r^2
-    poly = substitute(*_cyclic(p, klass), exponent_factor=2)
-    if klass != "o":  # the self-negating element p, in or out; o leaves it out
-        poly = poly * UniPoly.one_plus(1)
-    return _result(2 * p, klass, poly)
+    return _result(2 * p, klass, _twice_prime_poly(p, klass))
 
 
-def _prime_squared_poly(p: int, klass: str) -> UniPoly:
-    ci, subst = _cyclic(p, klass)
+def _prime_squared_poly(p: int, klass: str, point: complex | None = None) -> UniPoly:
+    ci, subst = _cyclic(p, klass, point)
     m = ci.order
     lifted = power_sum(ci, subst, exponent_factor=p + 1)
     paired = paired_power_sum(ci, subst, p)
@@ -157,8 +196,9 @@ def prime_squared_enumerator(p: int, klass: str) -> CountResult:
     return _result(p * p, klass, _prime_squared_poly(p, klass))
 
 
-def formal_undirected(n: int) -> UniPoly:
-    """The undirected prime-order series applied to any odd n >= 3.
+def formal_undirected(n: int, point: complex | None = None) -> UniPoly:
+    """The undirected prime-order series applied to any odd n >= 3, or with a
+    point its value there, as a constant.
 
     For prime n this equals prime_enumerator(n, "u").by_valency; for composite
     n it is a formal quantity only (not a graph count), but is exactly the
@@ -166,7 +206,7 @@ def formal_undirected(n: int) -> UniPoly:
     """
     if n < 3 or n % 2 == 0:
         raise ValueError(f"formal_undirected requires odd n >= 3, got {n}")
-    return substitute(*_cyclic(n, "u"))
+    return _prime_poly(n, "u", point)
 
 
 def formula_kind(order: int) -> tuple[str, int] | None:
@@ -195,13 +235,15 @@ def has_formula(order: int, klass: str) -> bool:
     return _covers(formula_kind(order), klass)
 
 
-# (order, class) -> CountResult while an order_memo() scope is open
+# (order, class) -> CountResult and (order, class, point) -> int while an
+# order_memo() scope is open
 _memo: dict | None = None
 
 
 @contextmanager
 def order_memo():
-    """Compute each count_by_formula(order, klass) once within this scope.
+    """Compute each count_by_formula(order, klass) and value_at(order, klass,
+    point) once within this scope.
 
     The enumerators are pure and a CountResult is frozen, so a hit equals a
     recomputation.  The memo is dropped when the scope exits, raising or not.
@@ -214,11 +256,9 @@ def order_memo():
         _memo = None
 
 
-def count_by_formula(order: int, klass: str) -> CountResult:
-    """Dispatch to whichever closed form covers the order, else raise."""
-    memo = _memo
-    if memo is not None and (order, klass) in memo:
-        return memo[order, klass]
+def _evaluate(order: int, klass: str, point: complex | None = None):
+    """The closed form that covers the order, else raise: the enumerator's
+    CountResult, or with a point the body's value there."""
     _require_class(klass)
     kind = formula_kind(order)
     if kind is None:
@@ -227,21 +267,48 @@ def count_by_formula(order: int, klass: str) -> CountResult:
         raise UnsupportedOrderError(f"no order-2p formula for class {klass!r}")
     shape, p = kind
     if shape == "prime":
-        result = prime_enumerator(p, klass)
+        enumerator, body = prime_enumerator, _prime_poly
     elif shape == "twice_prime":
-        result = twice_prime_enumerator(p, klass)
+        enumerator, body = twice_prime_enumerator, _twice_prime_poly
     else:
-        result = prime_squared_enumerator(p, klass)
-    if memo is not None:
-        memo[order, klass] = result
-    return result
+        enumerator, body = prime_squared_enumerator, _prime_squared_poly
+    if point is None:
+        return enumerator(p, klass)
+    return body(p, klass, point).coeff(0)
+
+
+def _memoised(*args):
+    """_evaluate(*args), once per args inside an order_memo() scope."""
+    memo = _memo
+    if memo is None:
+        return _evaluate(*args)
+    if args not in memo:
+        memo[args] = _evaluate(*args)
+    return memo[args]
+
+
+def count_by_formula(order: int, klass: str) -> CountResult:
+    """Dispatch to whichever closed form covers the order, else raise."""
+    return _memoised(order, klass)
+
+
+def value_at(order: int, klass: str, point: complex = 1) -> int:
+    """The class's valency series at z = point, one of 1, -1 and 1j, without
+    the series (sd, su, t: their total at any of them); a memoised series
+    answers z = 1.  z = i is refused where the value is not an integer: for
+    d and o, and for u at even orders."""
+    if point not in _QUARTER_TURNS:
+        raise ValueError(f"point must be one of 1, -1, 1j, got {point!r}")
+    if point == 1 and _memo and (order, klass) in _memo:
+        return _memo[order, klass].total
+    return _memoised(order, klass, point)
 
 
 def alternating_sum(n: int, klass: str) -> int:
-    """The class's valency series at z = -1 (u: at z^2 = -1), which is its
-    parity split's even part minus its odd part."""
-    even, odd = even_odd_split(n, klass)
-    return even - odd
+    """The class's valency series at z = -1 (u: at z = i, so z^2 = -1), which
+    is its parity split's even part minus its odd part."""
+    _require_class(klass, VALENCY_CLASSES)
+    return value_at(n, klass, 1j if klass == "u" else -1)
 
 
 def oriented_alternating_expected(n: int) -> int:
@@ -266,13 +333,14 @@ def even_odd_split(n: int, klass: str) -> tuple[int, int]:
 
     The undirected split is only meaningful at odd orders, where every valency
     is even and the semi-valency parity distinguishes r = 0 and r = 2 mod 4.
+    The parts are (f(1) +- f(-1))/2, or (f(1) +- f(i))/2 for u.
     """
-    _require_class(klass, VALENCY_CLASSES)
-    if klass == "u" and n % 2 == 0:
-        raise UnsupportedOrderError("undirected even/odd split needs odd order")
-    cs = count_by_formula(n, klass).by_valency.coeffs
-    step = 2 if klass == "u" else 1
-    return sum(cs[0::2 * step]), sum(cs[step::2 * step])
+    alternating = alternating_sum(n, klass)
+    total = value_at(n, klass)
+    if (total + alternating) % 2:
+        raise InexactDivisionError(f"total {total} and alternating sum "
+                                   f"{alternating} differ in parity")
+    return (total + alternating) // 2, (total - alternating) // 2
 
 
 def mixed_sd(p: int) -> int:
@@ -282,9 +350,8 @@ def mixed_sd(p: int) -> int:
     Identities 5.3 and 5.5 compare it with its two other forms,
     2*C_su(p)*C_t(p) and C_sd(p)^2 - C_su(p)^2 - C_t(p)^2.
     """
-    return (count_by_formula(p * p, "sd").total
-            - count_by_formula(p * p, "su").total
-            - count_by_formula(p * p, "t").total)
+    return (value_at(p * p, "sd") - value_at(p * p, "su")
+            - value_at(p * p, "t"))
 
 
 def log_concavity_probe(order: int,

@@ -2,15 +2,17 @@
 
 Every identity has a key (the registry id used on the command line), an
 applicability predicate expressing its hypotheses, and a checker that
-recomputes BOTH sides through counting.count_by_formula, never one side from
-the other's intermediates, so the identities remain a genuine test of the
-formulas.  The eleven that equate integer combinations of class totals list
-their (coeff, order, class) terms in the registry and share one checker,
-_check_totals, which reads every total through _total.  verify_range runs
-the checks at each order in one order_memo() scope, which sits in front of
-the enumerator calls: a hit there is the frozen CountResult a pure function
+recomputes BOTH sides through counting, never one side from the other's
+intermediates, so the identities remain a genuine test of the formulas.
+Every class total is read through _class_total, from the closed form's value
+at z = 1 (counting.value_at) without a valency series; only the checkers
+that compare series read count_by_formula.  The eleven that equate integer
+combinations of class totals list their (coeff, order, class) terms in the
+registry and share one checker, _check_totals.  verify_range runs the checks
+at each order in one order_memo() scope, which sits in front of the
+enumerator calls and the point values: a hit there is what a pure function
 would recompute, and the memo holds only the results needed at one sweep
-order: a few (order, class) entries for n, n+1, (n+1)/2, or p and p^2.
+order: a few entries for n, n+1, (n+1)/2, or p and p^2.
 Orders that counting.has_formula does not cover fall back to the exhaustive
 oracle where oracle.covers says it answers: always for (p+1)/2 = 2 and for
 the non-CI counts at p^2 = 9, and at the other orders with allow_oracle
@@ -30,7 +32,7 @@ from .algebra import UniPoly, cycle_index, half_exponent, to_sym
 from .counting import (CountResult, alternating_sum, count_by_formula,
                        even_odd_split, formal_undirected, formula_kind,
                        has_formula, mixed_sd, order_memo,
-                       oriented_alternating_expected)
+                       oriented_alternating_expected, value_at)
 from .numtheory import (has_prime_divisor_3_mod_4, is_prime,
                         odd_part_decomposition)
 from . import oracle
@@ -77,6 +79,15 @@ def _count(n: int, klass: str) -> CountResult:
         return oracle.enumerate_circulants(n, klass)
 
 
+def _class_total(n: int, klass: str) -> int:
+    """C_klass(n), the one reader of a class total: the closed form's value
+    at z = 1 where one covers the order, else the oracle's count."""
+    try:
+        return value_at(n, klass)
+    except UnsupportedOrderError:
+        return oracle.enumerate_circulants(n, klass).total
+
+
 def _poly_str(p: UniPoly) -> str:
     return str(list(p.coeffs))
 
@@ -99,7 +110,7 @@ def _check_3_1(p):
 
 def _total(terms) -> int:
     """The sum of coeff * C_klass(order) over (coeff, order, klass) terms."""
-    return sum(coeff * _count(n, klass).total for coeff, n, klass in terms)
+    return sum(coeff * _class_total(n, klass) for coeff, n, klass in terms)
 
 
 def _check_totals(first, *others):
@@ -116,8 +127,8 @@ def _check_3_3(p):
 
 
 def _check_3_3p(p):
-    lhs = 2 * count_by_formula(p, "o").total
-    rhs = count_by_formula(p + 1, "o").total + 1
+    lhs = 2 * _class_total(p, "o")
+    rhs = _class_total(p + 1, "o") + 1
     return str(lhs), str(rhs), lhs == rhs
 
 
@@ -131,8 +142,8 @@ def _check_3_8(n):
 def _check_4_2(p, klass):
     """4.2 (klass u) and its directed twin 4.4 (klass d)."""
     ptilde, _ = _ptilde_and_k(p)
-    lhs = 4 * count_by_formula(p, klass).total
-    rhs = count_by_formula(p + 1, klass).total + 2 * formal_undirected(2 * ptilde + 1)(1)
+    lhs = 4 * _class_total(p, klass)
+    rhs = _class_total(p + 1, klass) + 2 * formal_undirected(2 * ptilde + 1, 1)(1)
     return str(lhs), str(rhs), lhs == rhs
 
 
@@ -177,14 +188,14 @@ def _check_4_7p(p):
 def _check_5_2(n):
     p = _odd_prime_square(n)
     lhs = tuple(oracle.non_ci_count(n, klass)[0] for klass in ("sd", "su", "t"))
-    rhs = tuple(count_by_formula(p, klass).total ** 2 for klass in ("sd", "su", "t"))
+    rhs = tuple(_class_total(p, klass) ** 2 for klass in ("sd", "su", "t"))
     return str(lhs), str(rhs), lhs == rhs
 
 
 def _check_5_3(n):
     p = _odd_prime_square(n)
     lhs = mixed_sd(p)
-    rhs = 2 * count_by_formula(p, "su").total * count_by_formula(p, "t").total
+    rhs = 2 * _class_total(p, "su") * _class_total(p, "t")
     return str(lhs), str(rhs), lhs == rhs
 
 
@@ -199,18 +210,16 @@ def _check_5_4(n):
 def _check_5_5(n):
     p = _odd_prime_square(n)
     lhs = mixed_sd(p)
-    rhs = (count_by_formula(p, "sd").total ** 2
-           - count_by_formula(p, "su").total ** 2
-           - count_by_formula(p, "t").total ** 2)
+    rhs = (_class_total(p, "sd") ** 2 - _class_total(p, "su") ** 2
+           - _class_total(p, "t") ** 2)
     return str(lhs), str(rhs), lhs == rhs
 
 
 def _check_5_6(n):
     p = _odd_prime_square(n)
-    lhs = count_by_formula(n, "sd").total
-    rhs = (count_by_formula(n, "su").total
-           + count_by_formula(n, "t").total
-           + 2 * count_by_formula(p, "su").total * count_by_formula(p, "t").total)
+    lhs = _class_total(n, "sd")
+    rhs = (_class_total(n, "su") + _class_total(n, "t")
+           + 2 * _class_total(p, "su") * _class_total(p, "t"))
     return str(lhs), str(rhs), lhs == rhs
 
 
@@ -219,7 +228,7 @@ def _self_complementary(n: int, klass: str) -> int:
     # impossible for even n; the count is 0 without any formula.
     if n % 2 == 0:
         return 0
-    return count_by_formula(n, klass).total
+    return _class_total(n, klass)
 
 
 def _check_alternating(n, klass, sc):
@@ -237,14 +246,14 @@ def _check_6_3(n):
 
 def _check_6_4(p):
     lhs = 2 * alternating_sum(p, "d")
-    rhs = count_by_formula(p, "u").total + alternating_sum(p, "u")
+    rhs = _class_total(p, "u") + alternating_sum(p, "u")
     return str(lhs), str(rhs), lhs == rhs
 
 
 def _check_split(n, klass, sc):
     """6.5 (d, sd) and 6.6 (u, su): a parity split and (C +- C_s)/2."""
     even, odd = even_odd_split(n, klass)
-    c = count_by_formula(n, klass).total
+    c = _class_total(n, klass)
     s = _self_complementary(n, sc)
     holds = (2 * even == c + s) and (2 * odd == c - s)
     return f"({even}, {odd})", f"(({c}+{s})/2, ({c}-{s})/2)", holds
@@ -252,7 +261,7 @@ def _check_split(n, klass, sc):
 
 def _check_6_7(p):
     even, _ = even_odd_split(p, "u")
-    rhs = count_by_formula(p, "sd").total
+    rhs = _class_total(p, "sd")
     return str(even), str(rhs), even == rhs
 
 

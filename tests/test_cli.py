@@ -47,6 +47,15 @@ def test_count_big_integer(capsys):
     assert code == 0 and out.strip() == "123992391755402970674764 (formula)"
 
 
+def test_count_total_reads_no_series(capsys, monkeypatch):
+    # C_d(100003), 30,099 digits, from one power per divisor of 100002, with
+    # no series of 100,003 coefficients
+    monkeypatch.setattr(cli, "count_by_formula", None)
+    code, out, _ = run(capsys, "count", "--order", "100003", "--class", "d")
+    assert code == 0 and out.endswith(" (formula)\n")
+    assert len(out.split()[0]) == 30099
+
+
 def test_count_oracle(capsys):
     code, out, _ = run(capsys, "count", "--order", "15", "--class", "d", "--oracle")
     assert code == 0 and out.strip() == "2172 (oracle)"

@@ -14,11 +14,11 @@ from circenum.counting import (_SUBST, CLASSES, CountResult, alternating_sum,
                                log_concavity_probe, mixed_sd,
                                oriented_alternating_expected, prime_enumerator,
                                prime_squared_enumerator,
-                               twice_prime_enumerator)
+                               twice_prime_enumerator, value_at)
 from circenum.errors import (ConsistencyError, InexactDivisionError,
                              UnsupportedOrderError)
 from circenum.identities import check
-from circenum.numtheory import is_prime
+from circenum.numtheory import divisors, euler_phi, is_prime
 
 from golden import COLUMN_CLASSES, TABLE1, TABLE2_D, TABLE2_O, TABLE2_U
 
@@ -347,6 +347,73 @@ def test_split_and_alternating_sum_match_filtered_coefficient_sums():
             assert alternating_sum(n, klass) == want[0] - want[1], (n, klass)
             cells += 1
     assert cells == 342
+
+
+# --- point values -------------------------------------------------------------------
+
+def test_point_values_equal_the_series():
+    # the point substitution against the series, in every class at every
+    # formula order below 400: at z = 1 and -1, and at z = i for u at odd
+    # orders (sd, su, t: a constant series, their total)
+    compared = 0
+    for n in range(3, 400):
+        for klass in CLASSES:
+            if not has_formula(n, klass):
+                continue
+            result = count_by_formula(n, klass)
+            series = result.by_valency or UniPoly.constant(result.total)
+            for z in (1, -1):
+                assert value_at(n, klass, z) == series(z), (n, klass, z)
+                compared += 1
+            if klass == "u" and n % 2:
+                cs = series.coeffs
+                assert not any(cs[1::2]), n
+                at_i = sum(c * (-1) ** (r // 2) for r, c in enumerate(cs))
+                assert value_at(n, "u", 1j) == at_i, n
+                compared += 1
+    assert compared == 1362
+
+
+def test_z_i_is_refused_where_the_value_is_not_an_integer():
+    # d and o carry odd valencies at every order, u at 2p (the factor 1 + z)
+    for n, klass in [(13, "d"), (26, "d"), (169, "d"), (13, "o"), (26, "o"),
+                     (169, "o"), (26, "u"), (38, "u")]:
+        with pytest.raises(UnsupportedOrderError):
+            value_at(n, klass, 1j)
+    with pytest.raises(ValueError):
+        value_at(13, "d", 2)
+
+
+def test_a_memoised_series_answers_the_total(monkeypatch):
+    with counting.order_memo():
+        total = count_by_formula(13, "d").total
+
+        def refuse(*args):
+            raise RuntimeError(f"computed {args}")
+
+        monkeypatch.setattr(counting, "_evaluate", refuse)
+        assert value_at(13, "d") == total == 352
+        with pytest.raises(RuntimeError):
+            value_at(13, "d", -1)
+
+
+def test_split_of_an_odd_sum_raises(monkeypatch):
+    real = counting.value_at
+    monkeypatch.setattr(counting, "value_at",
+                        lambda n, klass, point=1: real(n, klass, point) + (point == -1))
+    with pytest.raises(InexactDivisionError):
+        even_odd_split(13, "d")
+
+
+def test_directed_total_near_ten_to_the_fifth_is_the_necklace_sum():
+    # C_d(p) = (1/(p-1)) sum_{r | p-1} phi(r) 2^((p-1)/r), by divisors and the
+    # totient of numtheory, not the divisor-totient table the formulas read
+    p = 100003
+    necklaces, rem = divmod(sum(euler_phi(r) * 2 ** ((p - 1) // r)
+                                for r in divisors(p - 1)), p - 1)
+    assert rem == 0
+    assert value_at(p, "d") == necklaces
+    assert necklaces.bit_length() == 99986
 
 
 # --- mixed and non-CI ----------------------------------------------------------------

@@ -269,6 +269,23 @@ def _record_enumerator_calls(monkeypatch):
     return calls
 
 
+def _record_point_values(monkeypatch):
+    """Rebind counting._evaluate, the dispatch value_at calls on a memo miss,
+    to a wrapper that logs (order, class, point) for every point value it
+    computes, not for those it refuses; returns the log."""
+    values = []
+    real = counting._evaluate
+
+    def logged(order, klass, point=None):
+        result = real(order, klass, point)
+        if point is not None:
+            values.append((order, klass, point))
+        return result
+
+    monkeypatch.setattr(counting, "_evaluate", logged)
+    return values
+
+
 def test_sweep_reports_equal_standalone_checks():
     # a memo hit must equal a recomputation: every report of the sweep
     # matches the same check run alone, outside any sweep
@@ -299,26 +316,36 @@ def test_no_memo_outlives_a_sweep(monkeypatch):
     monkeypatch.undo()
 
     calls = _record_enumerator_calls(monkeypatch)
+    values = _record_point_values(monkeypatch)
     check("3.7", 13)
     check("3.7", 13)
-    assert len(calls) == 6   # sd, t, su, computed again by the second check
+    assert calls == []       # 3.7 reads totals, not series
+    # sd, t, su at z = 1, computed again by the second check
+    assert values == [(13, "sd", 1), (13, "t", 1), (13, "su", 1)] * 2
 
 
 def test_sweep_computes_each_enumerator_once_per_order(monkeypatch):
     calls = _record_enumerator_calls(monkeypatch)
+    values = _record_point_values(monkeypatch)
     real_check = identities.check
 
     def tagged_check(key, n, allow_oracle=False):
-        # prefix the calls made by this check with its order
-        start = len(calls)
+        # prefix the series and point values computed by this check with its order
+        starts = len(calls), len(values)
         report = real_check(key, n, allow_oracle)
-        calls[start:] = [(n,) + call for call in calls[start:]]
+        for log, start in zip((calls, values), starts):
+            log[start:] = [(n,) + entry for entry in log[start:]]
         return report
 
     monkeypatch.setattr(identities, "check", tagged_check)
     verify_range(order_bound=300, lemma_bound=128)
-    assert len(calls) == len(set(calls)) == 568   # 2,428 with no memo
-    assert len({call[1:] for call in calls}) == 504
+    # series for the checkers that compare series; 568 when every total
+    # read a series, 2,428 with no memo
+    assert len(calls) == len(set(calls)) == 91
+    assert len(values) == len(set(values)) == 677
+    # the same series or value recurs only at another sweep order
+    assert len({call[1:] for call in calls}) == 82
+    assert len({value[1:] for value in values}) == 637
 
 
 @pytest.mark.parametrize("n,klass", [(13, "sd"), (26, "o"), (49, "t")])
@@ -349,18 +376,15 @@ def test_count_falls_back_to_the_oracle_without_a_formula():
 # --- the failing path ---------------------------------------------------------
 
 def _failing_keys_with_one_total_raised(monkeypatch, raised, n):
-    """Keys that fail at order n once count_by_formula, as identities reads
-    it, returns the total-only count `raised` = (order, class) one too high."""
-    real = identities.count_by_formula
+    """Keys that fail at order n once _class_total, the one reader of a class
+    total in identities, returns the total `raised` = (order, class) one too
+    high."""
+    real = identities._class_total
 
     def off_by_one(order, klass):
-        result = real(order, klass)
-        if (order, klass) != raised:
-            return result
-        return counting.CountResult(order, klass, result.total + 1, None,
-                                    result.provenance)
+        return real(order, klass) + ((order, klass) == raised)
 
-    monkeypatch.setattr(identities, "count_by_formula", off_by_one)
+    monkeypatch.setattr(identities, "_class_total", off_by_one)
     reports = [check(key, n) for key in IDENTITY_KEYS if evaluable(key, n)]
     return {r.key: r for r in reports if r.status == "fails"}
 
