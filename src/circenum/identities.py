@@ -4,11 +4,12 @@ Every identity has a key (the registry id used on the command line), an
 applicability predicate expressing its hypotheses, and a checker that
 recomputes BOTH sides through counting, never one side from the other's
 intermediates, so the identities remain a genuine test of the formulas.
-Every class total is read through _class_total, from the closed form's value
-at z = 1 (counting.value_at) without a valency series; only the checkers
-that compare series read count_by_formula.  The eleven that equate integer
-combinations of class totals list their (coeff, order, class) terms in the
-registry and share one checker, _check_totals.  verify_range runs the checks
+Every class value is read through _class_total: the closed form's value at
+z = 1, -1 or i (counting.value_at) without a valency series, and 0 for sd, su
+and t at every even order; only the checkers that compare series read
+count_by_formula.  The fourteen that equate integer combinations of class
+values list their (coeff, order, class[, point]) terms in the registry and
+share one checker, _check_totals.  verify_range runs the checks
 at each order in one order_memo() scope, which sits in front of the
 enumerator calls and the point values: a hit there is what a pure function
 would recompute, and the memo holds only the results needed at one sweep
@@ -29,10 +30,9 @@ from typing import Callable, NamedTuple
 
 from .errors import UnsupportedOrderError
 from .algebra import UniPoly, cycle_index, half_exponent, to_sym
-from .counting import (CountResult, alternating_sum, count_by_formula,
-                       even_odd_split, formal_undirected, formula_kind,
-                       has_formula, mixed_sd, order_memo,
-                       oriented_alternating_expected, value_at)
+from .counting import (CountResult, count_by_formula, even_odd_split,
+                       formal_undirected, formula_kind, has_formula, mixed_sd,
+                       order_memo, oriented_alternating_expected, value_at)
 from .numtheory import (has_prime_divisor_3_mod_4, is_prime,
                         odd_part_decomposition)
 from . import oracle
@@ -79,12 +79,17 @@ def _count(n: int, klass: str) -> CountResult:
         return oracle.enumerate_circulants(n, klass)
 
 
-def _class_total(n: int, klass: str) -> int:
-    """C_klass(n), the one reader of a class total: the closed form's value
-    at z = 1 where one covers the order, else the oracle's count."""
+def _class_total(n: int, klass: str, point: complex = 1) -> int:
+    """C_klass(n) at z = point, the one reader of a class value: 0 for sd, su
+    and t at even n (they need valency (n-1)/2), else the closed form's value,
+    else, at z = 1 only, the oracle's count; a refused point raises."""
+    if n % 2 == 0 and klass in ("sd", "su", "t"):
+        return 0
     try:
-        return value_at(n, klass)
+        return value_at(n, klass, point)
     except UnsupportedOrderError:
+        if point != 1:
+            raise
         return oracle.enumerate_circulants(n, klass).total
 
 
@@ -109,12 +114,13 @@ def _check_3_1(p):
 
 
 def _total(terms) -> int:
-    """The sum of coeff * C_klass(order) over (coeff, order, klass) terms."""
-    return sum(coeff * _class_total(n, klass) for coeff, n, klass in terms)
+    """The sum of coeff * C_klass(order, point) over (coeff, order, klass)
+    and (coeff, order, klass, point) terms."""
+    return sum(term[0] * _class_total(*term[1:]) for term in terms)
 
 
 def _check_totals(first, *others):
-    """One integer combination of class totals equal to each of the others;
+    """One integer combination of class values equal to each of the others;
     an empty combination is 0."""
     lhs, rhs = _total(first), [_total(terms) for terms in others]
     return str(lhs), " = ".join(map(str, rhs)), all(r == lhs for r in rhs)
@@ -223,30 +229,9 @@ def _check_5_6(n):
     return str(lhs), str(rhs), lhs == rhs
 
 
-def _self_complementary(n: int, klass: str) -> int:
-    # An even-order self-complementary circulant would need valency (n-1)/2,
-    # impossible for even n; the count is 0 without any formula.
-    if n % 2 == 0:
-        return 0
-    return _class_total(n, klass)
-
-
-def _check_alternating(n, klass, sc):
-    """6.1 (d, sd) and 6.2 (u, su): an alternating sum and a count."""
-    lhs = alternating_sum(n, klass)
-    rhs = _self_complementary(n, sc)
-    return str(lhs), str(rhs), lhs == rhs
-
-
 def _check_6_3(n):
-    lhs = alternating_sum(n, "o")
+    lhs = _class_total(n, "o", -1)
     rhs = oriented_alternating_expected(n)
-    return str(lhs), str(rhs), lhs == rhs
-
-
-def _check_6_4(p):
-    lhs = 2 * alternating_sum(p, "d")
-    rhs = _class_total(p, "u") + alternating_sum(p, "u")
     return str(lhs), str(rhs), lhs == rhs
 
 
@@ -254,7 +239,7 @@ def _check_split(n, klass, sc):
     """6.5 (d, sd) and 6.6 (u, su): a parity split and (C +- C_s)/2."""
     even, odd = even_odd_split(n, klass)
     c = _class_total(n, klass)
-    s = _self_complementary(n, sc)
+    s = _class_total(n, sc)
     holds = (2 * even == c + s) and (2 * odd == c - s)
     return f"({even}, {odd})", f"(({c}+{s})/2, ({c}-{s})/2)", holds
 
@@ -415,12 +400,13 @@ _REGISTRY = [
     _Identity("5.6", "C_sd(p^2) = C_su(p^2) + C_t(p^2) + 2 C_su(p) C_t(p)",
               _app_prime_square, _check_5_6),
     _Identity("6.1", "c_d(n,-1) = C_sd(n)", lambda n: has_formula(n, "d"),
-              lambda n: _check_alternating(n, "d", "sd")),
+              lambda n: _check_totals([(1, n, "d", -1)], [(1, n, "sd")])),
     _Identity("6.2", "c_u(n,z)|z^2=-1 = C_su(n)", lambda n: has_formula(n, "su"),
-              lambda n: _check_alternating(n, "u", "su")),
+              lambda n: _check_totals([(1, n, "u", 1j)], [(1, n, "su")])),
     _Identity("6.3", "c_o(n,-1) in {0,1} by divisor congruences",
               lambda n: has_formula(n, "d"), _check_6_3),
-    _Identity("6.4", "2 c_d(p,-1) = c_u(p,1) + c_u(p, sqrt(-1))", _odd_prime, _check_6_4),
+    _Identity("6.4", "2 c_d(p,-1) = c_u(p,1) + c_u(p, sqrt(-1))", _odd_prime,
+              lambda p: _check_totals([(2, p, "d", -1)], [(1, p, "u"), (1, p, "u", 1j)])),
     _Identity("6.5", "directed even/odd valency split against (C_d +- C_sd)/2",
               lambda n: has_formula(n, "d"), lambda n: _check_split(n, "d", "sd")),
     _Identity("6.6", "undirected semi-valency split against (C_u +- C_su)/2",

@@ -373,16 +373,35 @@ def test_count_falls_back_to_the_oracle_without_a_formula():
         assert identities._count(15, "u").provenance == "oracle"
 
 
+@pytest.mark.parametrize("n", [2, 14, 22, 38])
+def test_no_self_complementary_class_at_an_even_order(monkeypatch, n):
+    # sd, su and t need valency (n-1)/2: 0 without a formula or a survey
+    asked = []
+
+    monkeypatch.setattr(identities, "value_at", lambda *args: asked.append(args))
+    monkeypatch.setattr(identities.oracle, "enumerate_circulants",
+                        lambda *args: asked.append(args))
+    for klass in ("sd", "su", "t"):
+        assert identities._class_total(n, klass) == 0
+    assert asked == []
+
+
+def test_a_refused_point_is_not_answered_by_the_oracle():
+    # c_u(14, z) at z = i is no integer; the oracle's C_u(14) must not stand in
+    with pytest.raises(UnsupportedOrderError):
+        identities._class_total(14, "u", 1j)
+
+
 # --- the failing path ---------------------------------------------------------
 
 def _failing_keys_with_one_total_raised(monkeypatch, raised, n):
     """Keys that fail at order n once _class_total, the one reader of a class
-    total in identities, returns the total `raised` = (order, class) one too
-    high."""
+    value in identities, returns the value `raised` = (order, class, point)
+    one too high."""
     real = identities._class_total
 
-    def off_by_one(order, klass):
-        return real(order, klass) + ((order, klass) == raised)
+    def off_by_one(order, klass, point=1):
+        return real(order, klass, point) + ((order, klass, point) == raised)
 
     monkeypatch.setattr(identities, "_class_total", off_by_one)
     reports = [check(key, n) for key in IDENTITY_KEYS if evaluable(key, n)]
@@ -390,14 +409,25 @@ def _failing_keys_with_one_total_raised(monkeypatch, raised, n):
 
 
 def test_a_raised_su_total_fails_every_identity_that_reads_it(monkeypatch):
-    failing = _failing_keys_with_one_total_raised(monkeypatch, (7, "su"), 7)
+    failing = _failing_keys_with_one_total_raised(monkeypatch, (7, "su", 1), 7)
     assert set(failing) == {"3.4", "3.7", "4.1", "4.1''", "6.2", "6.6"}
     # the second equality of the chain fails while the first still holds
     assert (failing["4.1''"].lhs, failing["4.1''"].rhs) == ("4", "4 = 5")
 
 
 def test_a_raised_t_total_fails_every_identity_that_reads_it(monkeypatch):
-    failing = _failing_keys_with_one_total_raised(monkeypatch, (7, "t"), 7)
+    failing = _failing_keys_with_one_total_raised(monkeypatch, (7, "t", 1), 7)
     assert set(failing) == {"3.5", "3.7", "4.1'", "4.1''"}
-    failing = _failing_keys_with_one_total_raised(monkeypatch, (7, "t"), 13)
+    failing = _failing_keys_with_one_total_raised(monkeypatch, (7, "t", 1), 13)
     assert set(failing) == {"3.6"}
+
+
+@pytest.mark.parametrize("raised,n,expected", [
+    ((7, "u", 1j), 7, {"6.2", "6.4"}),
+    ((13, "d", -1), 13, {"6.1", "6.4"}),
+    ((13, "o", -1), 13, {"6.3"}),
+], ids=["c_u(7,i)", "c_d(13,-1)", "c_o(13,-1)"])
+def test_a_raised_point_value_fails_every_identity_that_reads_it(
+        monkeypatch, raised, n, expected):
+    # 6.5-6.7 read their alternating sums through counting.even_odd_split
+    assert set(_failing_keys_with_one_total_raised(monkeypatch, raised, n)) == expected
