@@ -6,8 +6,9 @@ violation, 2 usage error, 3 unsupported order, out-of-range oracle request or
 too little memory.  A malformed command fails before any count is computed,
 with one error line from the parser or, for a rule across arguments, from
 `main`.  An unsupported order prints one `error:` line on stderr, from
-`main`; where --oracle was not given and the oracle covers the order and
-class, the line suggests it.
+`main`, as does an n/a cell of `table 1 --strict` once the table is printed;
+where --oracle was not given and the oracle covers the order and class, the
+line suggests it.
 A reader that closes standard output early (as `| head` does) ends the run
 with 141 and no traceback, the status a shell reports for a filter killed by
 SIGPIPE (128 + 13).
@@ -42,6 +43,7 @@ EXIT_BROKEN_PIPE = 141
 
 FORMATS = ("text", "csv", "json")
 TABLE1_COLUMNS = ("C_d", "C_u", "C_o", "C_sd", "C_su", "C_t")
+_ORACLE_HINT = " (try --oracle for desk-scale orders)"
 _JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
@@ -61,7 +63,7 @@ def _get_count(order: int, klass: str, use_oracle: bool, total_only: bool = Fals
     except UnsupportedOrderError as exc:
         if not oracle.covers(order, klass):
             raise
-        raise UnsupportedOrderError(f"{exc} (try --oracle for desk-scale orders)") from None
+        raise UnsupportedOrderError(f"{exc}{_ORACLE_HINT}") from None
 
 
 def _require_series(klass: str) -> None:
@@ -119,8 +121,13 @@ def cmd_table(args) -> int:
                 for cell in cells:
                     out.append("n/a" if cell is None else str(cell.total))
                 print(sep.join(out))
-        if args.strict and any(None in cells for _, cells in rows):
-            return EXIT_UNSUPPORTED
+        missing = [(n, klass) for n, cells in rows
+                   for klass, cell in zip(CLASSES, cells) if cell is None]
+        if args.strict and missing:
+            hint = ("" if args.oracle or not any(oracle.covers(*cell) for cell in missing)
+                    else _ORACLE_HINT)
+            orders = ", ".join(map(str, dict.fromkeys(n for n, _ in missing)))
+            raise UnsupportedOrderError(f"table 1 has n/a cells at n = {orders}{hint}")
         return EXIT_OK
     # table 2: valency columns for one class
     klass = args.klass

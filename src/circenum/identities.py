@@ -7,9 +7,10 @@ intermediates, so the identities remain a genuine test of the formulas.
 Every class value is read through _class_total: the closed form's value at
 z = 1, -1 or i (counting.value_at) without a valency series, and 0 for sd, su
 and t at every even order; only the checkers that compare series read
-count_by_formula.  The fourteen that equate integer combinations of class
-values list their (coeff, order, class[, point]) terms in the registry and
-share one checker, _check_totals.  verify_range runs the checks
+count_by_formula.  The 21 that equate sums of products of class values
+(and constants such as mixed_sd(p) and 2 Cbar_u(2pt+1)) list their terms,
+(coeff, factor, ...) with each factor an (order, class[, point]), in the
+registry and share one checker, _check_totals.  verify_range runs the checks
 at each order in one order_memo() scope, which sits in front of the
 enumerator calls and the point values: a hit there is what a pure function
 would recompute, and the memo holds only the results needed at one sweep
@@ -114,14 +115,30 @@ def _check_3_1(p):
 
 
 def _total(terms) -> int:
-    """The sum of coeff * C_klass(order, point) over (coeff, order, klass)
-    and (coeff, order, klass, point) terms."""
-    return sum(term[0] * _class_total(*term[1:]) for term in terms)
+    """The sum over (coeff, factor, ...) terms of coeff times the product of
+    its factors, each an (order, klass) or (order, klass, point) read through
+    _class_total; a term with no factors is its coefficient."""
+    total = 0
+    for coeff, *factors in terms:
+        for factor in factors:
+            coeff *= _class_total(*factor)
+        total += coeff
+    return total
+
+
+def _cbar(p: int) -> int:
+    """Cbar_u(2 ptilde + 1), the formal count 4.2 and 4.4 add twice."""
+    return formal_undirected(2 * _ptilde_and_k(p)[0] + 1, 1).coeff(0)
+
+
+def _at_p_squared(check):
+    """The check at n = p^2 of a check written in p."""
+    return lambda n: check(_odd_prime_square(n))
 
 
 def _check_totals(first, *others):
-    """One integer combination of class values equal to each of the others;
-    an empty combination is 0."""
+    """One sum of terms (see _total) equal to each of the others; an empty
+    sum is 0."""
     lhs, rhs = _total(first), [_total(terms) for terms in others]
     return str(lhs), " = ".join(map(str, rhs)), all(r == lhs for r in rhs)
 
@@ -132,25 +149,11 @@ def _check_3_3(p):
     return _poly_str(lhs), _poly_str(rhs), lhs == rhs
 
 
-def _check_3_3p(p):
-    lhs = 2 * _class_total(p, "o")
-    rhs = _class_total(p + 1, "o") + 1
-    return str(lhs), str(rhs), lhs == rhs
-
-
 def _check_3_8(n):
     poly = _count(n, "u").by_valency
     odd_part = [poly.coeff(2 * r + 1) for r in range(poly.degree // 2 + 1)]
     even_part = [poly.coeff(2 * r) for r in range(poly.degree // 2 + 1)]
     return str(odd_part), str(even_part), odd_part == even_part
-
-
-def _check_4_2(p, klass):
-    """4.2 (klass u) and its directed twin 4.4 (klass d)."""
-    ptilde, _ = _ptilde_and_k(p)
-    lhs = 4 * _class_total(p, klass)
-    rhs = _class_total(p + 1, klass) + 2 * formal_undirected(2 * ptilde + 1, 1)(1)
-    return str(lhs), str(rhs), lhs == rhs
 
 
 def _check_4_3(p, klass):
@@ -191,47 +194,16 @@ def _check_4_7p(p):
     return str(lhs), str(rhs), lhs == rhs
 
 
-def _check_5_2(n):
-    p = _odd_prime_square(n)
-    lhs = tuple(oracle.non_ci_count(n, klass)[0] for klass in ("sd", "su", "t"))
+def _check_5_2(p):
+    lhs = tuple(oracle.non_ci_count(p * p, klass)[0] for klass in ("sd", "su", "t"))
     rhs = tuple(_class_total(p, klass) ** 2 for klass in ("sd", "su", "t"))
     return str(lhs), str(rhs), lhs == rhs
 
 
-def _check_5_3(n):
-    p = _odd_prime_square(n)
+def _check_5_4(p):
     lhs = mixed_sd(p)
-    rhs = 2 * _class_total(p, "su") * _class_total(p, "t")
-    return str(lhs), str(rhs), lhs == rhs
-
-
-def _check_5_4(n):
-    p = _odd_prime_square(n)
-    lhs = mixed_sd(p)
-    d = {klass: oracle.non_ci_count(n, klass)[0] for klass in ("sd", "su", "t")}
+    d = {klass: oracle.non_ci_count(p * p, klass)[0] for klass in ("sd", "su", "t")}
     rhs = d["sd"] - d["su"] - d["t"]
-    return str(lhs), str(rhs), lhs == rhs
-
-
-def _check_5_5(n):
-    p = _odd_prime_square(n)
-    lhs = mixed_sd(p)
-    rhs = (_class_total(p, "sd") ** 2 - _class_total(p, "su") ** 2
-           - _class_total(p, "t") ** 2)
-    return str(lhs), str(rhs), lhs == rhs
-
-
-def _check_5_6(n):
-    p = _odd_prime_square(n)
-    lhs = _class_total(n, "sd")
-    rhs = (_class_total(n, "su") + _class_total(n, "t")
-           + 2 * _class_total(p, "su") * _class_total(p, "t"))
-    return str(lhs), str(rhs), lhs == rhs
-
-
-def _check_6_3(n):
-    lhs = _class_total(n, "o", -1)
-    rhs = oriented_alternating_expected(n)
     return str(lhs), str(rhs), lhs == rhs
 
 
@@ -344,69 +316,81 @@ class _Identity(NamedTuple):
 _REGISTRY = [
     _Identity("3.1", "c_u(p,z) = c_d((p+1)/2, z^2)", _half_successor_prime, _check_3_1),
     _Identity("3.1'", "C_u(p) = C_d((p+1)/2)", _half_successor_prime,
-              lambda p: _check_totals([(1, p, "u")], [(1, (p + 1) // 2, "d")])),
+              lambda p: _check_totals([(1, (p, "u"))], [(1, ((p + 1) // 2, "d"))])),
     _Identity("3.2", "C_su(p) = C_sd((p+1)/2)", _half_successor_prime,
-              lambda p: _check_totals([(1, p, "su")], [(1, (p + 1) // 2, "sd")])),
+              lambda p: _check_totals([(1, (p, "su"))], [(1, ((p + 1) // 2, "sd"))])),
     _Identity("3.3", "2 c_o(p,z) = c_o(p+1,z) + 1", _nearly_doubled_odd, _check_3_3),
-    _Identity("3.3'", "2 C_o(p) = C_o(p+1) + 1", _nearly_doubled_odd, _check_3_3p),
+    _Identity("3.3'", "2 C_o(p) = C_o(p+1) + 1", _nearly_doubled_odd,
+              lambda p: _check_totals([(2, (p, "o"))], [(1, (p + 1, "o")), (1,)])),
     _Identity("3.4", "C_su(n) = 0 when some prime divisor is 3 mod 4",
-              _app_3_4, lambda n: _check_totals([(1, n, "su")], []),
+              _app_3_4, lambda n: _check_totals([(1, (n, "su"))], []),
               lambda n, allow_oracle: covered(n, "su", allow_oracle)),
     _Identity("3.5", "C_sd(n) = C_t(n) at n = p, p^2 with p = 3 mod 4",
-              _app_3_5, lambda n: _check_totals([(1, n, "sd")], [(1, n, "t")])),
+              _app_3_5, lambda n: _check_totals([(1, (n, "sd"))], [(1, (n, "t"))])),
     _Identity("3.6", "C_su(p) = C_t((p+1)/2) when p = 5 mod 8",
               lambda n: _half_successor_prime(n) and n % 8 == 5,
-              lambda p: _check_totals([(1, p, "su")], [(1, (p + 1) // 2, "t")])),
+              lambda p: _check_totals([(1, (p, "su"))], [(1, ((p + 1) // 2, "t"))])),
     _Identity("3.7", "C_sd(p) = C_t(p) + C_su(p)", _odd_prime,
-              lambda p: _check_totals([(1, p, "sd")], [(1, p, "t"), (1, p, "su")])),
+              lambda p: _check_totals([(1, (p, "sd"))], [(1, (p, "t")), (1, (p, "su"))])),
     _Identity("3.8", "C_u(2n, 2r+1) = C_u(2n, 2r)",
               lambda n: n >= 2 and n % 2 == 0, _check_3_8,
               lambda n, allow_oracle: covered(n, "u", allow_oracle)),
     _Identity("4.1", "2 C_sd(p) = C_u(p) + C_su(p)", _odd_prime,
-              lambda p: _check_totals([(2, p, "sd")], [(1, p, "u"), (1, p, "su")])),
+              lambda p: _check_totals([(2, (p, "sd"))], [(1, (p, "u")), (1, (p, "su"))])),
     _Identity("4.1'", "C_u(p) = 2 C_sd(p) = 2 C_t(p) when p = 3 mod 4",
               lambda n: _odd_prime(n) and n % 4 == 3,
-              lambda p: _check_totals([(1, p, "u")], [(2, p, "sd")], [(2, p, "t")])),
+              lambda p: _check_totals([(1, (p, "u"))], [(2, (p, "sd"))], [(2, (p, "t"))])),
     _Identity("4.1''", "C_u(p) = C_sd(p) + C_t(p) = C_su(p) + 2 C_t(p)", _odd_prime,
-              lambda p: _check_totals([(1, p, "u")], [(1, p, "sd"), (1, p, "t")],
-                                      [(1, p, "su"), (2, p, "t")])),
-    _Identity("4.2", "4 C_u(p) = C_u(p+1) + 2 Cbar_u(2pt+1)",
-              _nearly_doubled_odd, lambda p: _check_4_2(p, "u")),
+              lambda p: _check_totals([(1, (p, "u"))], [(1, (p, "sd")), (1, (p, "t"))],
+                                      [(1, (p, "su")), (2, (p, "t"))])),
+    _Identity("4.2", "4 C_u(p) = C_u(p+1) + 2 Cbar_u(2pt+1)", _nearly_doubled_odd,
+              lambda p: _check_totals([(4, (p, "u"))], [(1, (p + 1, "u")), (2 * _cbar(p),)])),
     _Identity("4.3", "2 c_u(p,z) = c_u(p+1,z)/(1+z) + cbar_u(2pt+1, z^(2^k))",
               _nearly_doubled_odd, lambda p: _check_4_3(p, "u")),
     _Identity("4.3'", "2 C_u(p,4r+2) = C_u(p+1,4r+2)",
               _nearly_doubled_odd, _check_4_3p),
-    _Identity("4.4", "4 C_d(p) = C_d(p+1) + 2 Cbar_u(2pt+1)",
-              _nearly_doubled_odd, lambda p: _check_4_2(p, "d")),
+    _Identity("4.4", "4 C_d(p) = C_d(p+1) + 2 Cbar_u(2pt+1)", _nearly_doubled_odd,
+              lambda p: _check_totals([(4, (p, "d"))], [(1, (p + 1, "d")), (2 * _cbar(p),)])),
     _Identity("4.5", "2 c_d(p,z) = c_d(p+1,z)/(1+z) + cbar_u(2pt+1, z^(2^k))",
               _nearly_doubled_odd, lambda p: _check_4_3(p, "d")),
     _Identity("4.6", "4 C_d(p) - C_d(p+1) = 4 C_u(p) - C_u(p+1)", _nearly_doubled_odd,
-              lambda p: _check_totals([(4, p, "d"), (-1, p + 1, "d")],
-                                      [(4, p, "u"), (-1, p + 1, "u")])),
+              lambda p: _check_totals([(4, (p, "d")), (-1, (p + 1, "d"))],
+                                      [(4, (p, "u")), (-1, (p + 1, "u"))])),
     _Identity("4.6'", "4 C_dnu(p) = C_dnu(p+1)", _nearly_doubled_odd,
-              lambda p: _check_totals([(4, p, "d"), (-4, p, "u")],
-                                      [(1, p + 1, "d"), (-1, p + 1, "u")])),
+              lambda p: _check_totals([(4, (p, "d")), (-4, (p, "u"))],
+                                      [(1, (p + 1, "d")), (-1, (p + 1, "u"))])),
     _Identity("4.7", "2 (1+z) c_dnu(p,z) = c_dnu(p+1,z)",
               _nearly_doubled_odd, _check_4_7),
     _Identity("4.7'", "2 (C_dnu(p,r) + C_dnu(p,r-1)) = C_dnu(p+1,r)",
               _nearly_doubled_odd, _check_4_7p),
     _Identity("5.2", "D_i(p^2) = C_i(p)^2 for i in sd, su, t",
-              _app_prime_square, _check_5_2, _eval_oracle_square),
-    _Identity("5.3", "mixed_sd(p^2) = 2 C_su(p) C_t(p)", _app_prime_square, _check_5_3),
+              _app_prime_square, _at_p_squared(_check_5_2), _eval_oracle_square),
+    _Identity("5.3", "mixed_sd(p^2) = 2 C_su(p) C_t(p)", _app_prime_square,
+              _at_p_squared(lambda p: _check_totals([(mixed_sd(p),)],
+                                                    [(2, (p, "su"), (p, "t"))]))),
     _Identity("5.4", "mixed_sd(p^2) = D_sd - D_su - D_t",
-              _app_prime_square, _check_5_4, _eval_oracle_square),
+              _app_prime_square, _at_p_squared(_check_5_4), _eval_oracle_square),
     _Identity("5.5", "mixed_sd(p^2) = C_sd(p)^2 - C_su(p)^2 - C_t(p)^2",
-              _app_prime_square, _check_5_5),
+              _app_prime_square,
+              _at_p_squared(lambda p: _check_totals(
+                  [(mixed_sd(p),)],
+                  [(1, (p, "sd"), (p, "sd")), (-1, (p, "su"), (p, "su")),
+                   (-1, (p, "t"), (p, "t"))]))),
     _Identity("5.6", "C_sd(p^2) = C_su(p^2) + C_t(p^2) + 2 C_su(p) C_t(p)",
-              _app_prime_square, _check_5_6),
+              _app_prime_square,
+              _at_p_squared(lambda p: _check_totals(
+                  [(1, (p * p, "sd"))],
+                  [(1, (p * p, "su")), (1, (p * p, "t")), (2, (p, "su"), (p, "t"))]))),
     _Identity("6.1", "c_d(n,-1) = C_sd(n)", lambda n: has_formula(n, "d"),
-              lambda n: _check_totals([(1, n, "d", -1)], [(1, n, "sd")])),
+              lambda n: _check_totals([(1, (n, "d", -1))], [(1, (n, "sd"))])),
     _Identity("6.2", "c_u(n,z)|z^2=-1 = C_su(n)", lambda n: has_formula(n, "su"),
-              lambda n: _check_totals([(1, n, "u", 1j)], [(1, n, "su")])),
+              lambda n: _check_totals([(1, (n, "u", 1j))], [(1, (n, "su"))])),
     _Identity("6.3", "c_o(n,-1) in {0,1} by divisor congruences",
-              lambda n: has_formula(n, "d"), _check_6_3),
+              lambda n: has_formula(n, "d"),
+              lambda n: _check_totals([(1, (n, "o", -1))],
+                                      [(oriented_alternating_expected(n),)])),
     _Identity("6.4", "2 c_d(p,-1) = c_u(p,1) + c_u(p, sqrt(-1))", _odd_prime,
-              lambda p: _check_totals([(2, p, "d", -1)], [(1, p, "u"), (1, p, "u", 1j)])),
+              lambda p: _check_totals([(2, (p, "d", -1))], [(1, (p, "u")), (1, (p, "u", 1j))])),
     _Identity("6.5", "directed even/odd valency split against (C_d +- C_sd)/2",
               lambda n: has_formula(n, "d"), lambda n: _check_split(n, "d", "sd")),
     _Identity("6.6", "undirected semi-valency split against (C_u +- C_su)/2",

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 from circenum import cli, oracle
 from circenum.cli import main
 from circenum.counting import CLASSES
-from circenum.identities import covered
+from circenum.identities import IDENTITY_KEYS, covered
 
 from golden import ORIENTED_CORRECTIONS, TABLE1, TABLE2_U
 
@@ -121,8 +122,16 @@ def test_table1_unsupported_rows_marked(capsys):
 
 
 def test_table1_strict_exit(capsys):
-    code, _, _ = run(capsys, "table", "1", "--orders", "50", "--strict")
+    # the table first, then one error line naming the orders with n/a cells
+    code, out, err = run(capsys, "table", "1", "--orders", "50", "--strict")
     assert code == 3
+    assert out.splitlines()[1] == "\t".join(["50"] + ["n/a"] * 6)
+    assert err == "error: table 1 has n/a cells at n = 50\n"
+    # without --oracle the line suggests it where the oracle covers a cell
+    code, _, err = run(capsys, "table", "1", "--orders", "8,13", "--strict")
+    assert code == 3
+    assert err == ("error: table 1 has n/a cells at n = 8 "
+                   "(try --oracle for desk-scale orders)\n")
     # the formulas and the oracle together fill every cell to 16
     code, out, _ = run(capsys, "table", "1", "--max", "16", "--oracle", "--strict")
     assert code == 0 and "n/a" not in out
@@ -174,7 +183,8 @@ def test_table1_pinned_in_three_formats(capsys, fmt):
     argv = ["--format", fmt, "table", "1", "--orders", "2,8,13,14,18,50", "--oracle"]
     assert run(capsys, *argv) == (0, _TABLE1_PINNED[fmt], "")
     # --strict prints the same table, then exits 3 for the n/a cells
-    assert run(capsys, *argv, "--strict") == (3, _TABLE1_PINNED[fmt], "")
+    assert run(capsys, *argv, "--strict") == (
+        3, _TABLE1_PINNED[fmt], "error: table 1 has n/a cells at n = 18, 50\n")
 
 
 @pytest.mark.parametrize("flags", [(), ("--oracle",)], ids=["formula", "oracle"])
@@ -429,6 +439,74 @@ def test_malformed_commands_are_refused_before_any_count(capsys, monkeypatch):
         code, out, err = run(capsys, *argv.split())
         assert (code, out) == (2, ""), argv
         assert err.startswith("error: ") and len(err.splitlines()) == 1, argv
+
+
+def _fuzz_argv(rng):
+    """One command line over the five subcommands, each value drawn from
+    valid and invalid ones.  Oracle orders stay at or below 30 and formula
+    orders at or below 1000: a series request has no size gate."""
+    def value(*invalid, low=0, high=1000):
+        if rng.random() < 0.9:
+            return str(rng.randint(low, high))
+        return rng.choice(("x",) + invalid)
+
+    def option(flag, *values, chance=0.5):
+        return [flag, rng.choice(values)] if rng.random() < chance else []
+
+    use_oracle = rng.random() < 0.3
+    top = 30 if use_oracle else 1000
+
+    def order():
+        return value("0", "-3", "", low=1, high=top)
+
+    klass = rng.choice(CLASSES * 3 + ("xx",))
+    command = rng.choice(("count", "table", "verify", "primes", "logconcave"))
+    if command == "count":
+        argv = ["count", *option("--order", order(), chance=0.95),
+                *option("--class", klass, chance=0.95)]
+        argv += rng.choice([[], ["--poly"], ["--valency", value("-1", high=40)]])
+    elif command == "table":
+        orders = ",".join(order() for _ in range(rng.randint(1, 4)))
+        argv = ["table", rng.choice("12" * 5 + "3"), *option("--class", klass)]
+        argv += rng.choice([["--orders", orders], ["--max", value("1", high=30)], []])
+        argv += ["--strict"] if rng.random() < 0.3 else []
+    elif command == "verify":
+        keys = rng.sample(IDENTITY_KEYS * 3 + ("9.9",), rng.randint(0, 3))
+        argv = ["verify"] + ([f"--identity={key}" for key in keys] or ["--all"])
+        argv += option("--max", value("-5", high=min(top, 300)))
+        argv += option("--lemma-max", value("-1", high=40))
+    elif command == "primes":
+        argv = ["primes", *rng.choice([["--nearly-doubled"], ["--chain"]] * 9 + [[]])]
+        argv += option("--limit", value("1"))
+        argv += option("--ptilde", *"-3 0 1 2 3 9 21 x".split())
+        argv += option("--kmax", value("-1", high=200))
+        argv += option("--mr-rounds", value("-1", high=8))
+    else:
+        argv = ["logconcave", *option("--order", order(), chance=0.95)]
+    argv += ["--oracle"] if use_oracle and command != "primes" else []
+    formats = ("text", "csv", "json") * 3 + ("xml",)
+    return (option("--format", *formats, chance=0.3) + argv
+            + option("--format", *formats, chance=0.3))
+
+
+def test_exit_code_contract_under_fuzzing(capsys, monkeypatch):
+    # every drawn command exits 0, 1 (logconcave alone: a genuine violation),
+    # 2 or 3; a refusal prints exactly one error line, and nothing escapes
+    monkeypatch.delenv("CIRCENUM_FORMAT", raising=False)
+    rng = random.Random(34)
+    for _ in range(1500):
+        argv = _fuzz_argv(rng)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # rejected by the parser
+            code = exc.code
+        except Exception as exc:
+            raise AssertionError(f"{argv} raised") from exc
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3) or (code == 1 and "logconcave" in argv), argv
+        if code in (2, 3):
+            assert sum("error:" in line for line in err.splitlines()) == 1, (argv, err)
+        assert "Traceback" not in err, argv
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

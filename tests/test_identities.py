@@ -232,6 +232,20 @@ def test_shared_checkers_digest_to_1000():
         "1fb686c065ba85bc6c78248be4d3792faae9cc69f9f9285e9e208c5100ff262c"
 
 
+def test_product_and_constant_rows_digest_to_5000():
+    # 3.3', 4.2, 4.4, 5.3, 5.5, 5.6 and 6.3 add a constant to, or multiply,
+    # class values: their reports to order 5000 (1,283), hashed the same way,
+    # as the hand-written checkers gave them before these became rows
+    reports = verify_range(keys=("3.3'", "4.2", "4.4", "5.3", "5.5", "5.6", "6.3"),
+                           order_bound=5000, lemma_bound=0)
+    assert len(reports) == 1283
+    assert all(r.status == "holds" for r in reports)
+    text = "\n".join(json.dumps([r.key, r.order, r.status, r.lhs, r.rhs])
+                     for r in reports)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "b71b7f477c6b02c987c36242cf86c19678fff2d85716550ee34b20123576328f"
+
+
 @pytest.mark.parametrize("allow_oracle", [False, True])
 def test_oracle_backed_keys_follow_the_coverage_rule(allow_oracle):
     # 3.4 reads C_su and 3.8 reads c_u; each is evaluable exactly where
