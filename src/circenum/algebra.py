@@ -21,6 +21,7 @@ exactly by n.  This module supplies the three representations involved:
 
 Both polynomial classes take integer powers through the one repeated-squaring
 loop _power, and a UniPoly difference is the sum with the negated operand.
+An int added to a UniPoly is a constant, and an int times one scales it.
 
 Every value the formulas substitute is a binomial 1 + c*z^(k*r) (a constant
 when k = 0), prescribed either for x_r itself or for x_r^2; the latter is
@@ -102,14 +103,16 @@ class UniPoly:
     def __hash__(self) -> int:
         return hash(self.coeffs)
 
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        a, b = self.coeffs, other.coeffs
+    def __add__(self, other: "UniPoly | int") -> "UniPoly":
+        a, b = self.coeffs, (other,) if isinstance(other, int) else other.coeffs
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
         return UniPoly(out)
+
+    __radd__ = __add__
 
     def __sub__(self, other: "UniPoly") -> "UniPoly":
         return self + other.scale(-1)
@@ -128,6 +131,8 @@ class UniPoly:
 
     def scale(self, c: int) -> "UniPoly":
         return UniPoly(c * x for x in self.coeffs)
+
+    __rmul__ = scale
 
     def stretch(self, k: int) -> "UniPoly":
         """Substitute z -> z^k."""
@@ -174,8 +179,11 @@ class UniPoly:
             result = result * at + c
         return result
 
+    def __str__(self) -> str:
+        return str(list(self.coeffs))
+
     def __repr__(self) -> str:
-        return f"UniPoly({list(self.coeffs)})"
+        return f"UniPoly({self})"
 
 
 class CycleIndexTerm(NamedTuple):

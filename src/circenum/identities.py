@@ -3,14 +3,21 @@
 Every identity has a key (the registry id used on the command line), an
 applicability predicate expressing its hypotheses, and a checker that
 recomputes BOTH sides through counting, never one side from the other's
-intermediates, so the identities remain a genuine test of the formulas.
+intermediates.  Not every identity is an independent test of the formulas:
+at odd orders value_at(n, "d", -1) and value_at(n, "u", 1j) run exactly the
+sd and su substitutions on the same cycle index, so 6.1, 6.2 and the
+odd-order cells of 6.5 and 6.6 compare one computation with itself, and 6.4
+and 6.7 restate 4.1; counting's test_point_values_equal_the_series, which
+reads the series at those points, is their independent check.
 Every class value is read through _class_total: the closed form's value at
-z = 1, -1 or i (counting.value_at) without a valency series, and 0 for sd, su
-and t at every even order; only the checkers that compare series read
-count_by_formula.  The 21 that equate sums of products of class values
-(and constants such as mixed_sd(p) and 2 Cbar_u(2pt+1)) list their terms,
-(coeff, factor, ...) with each factor an (order, class[, point]), in the
-registry and share one checker, _check_totals.  verify_range runs the checks
+z = 1, -1 or i (counting.value_at) without a valency series, 0 for sd, su
+and t at every even order, and at a power z^k of z the valency series at
+z^k (count_by_formula).  The 29 that equate sums of products of class values,
+series and constants (such as mixed_sd(p) and 2 Cbar_u(2pt+1)) list their
+terms, (coeff, factor, ...) with each factor an (order, class[, point]), in
+the registry and share one checker, _check_totals.  Five keys keep their own
+checker: 3.8 and 4.3' compare coefficient slices, 5.2 a tuple of oracle
+counts, and 6.5 and 6.6 a parity split.  verify_range runs the checks
 at each order in one order_memo() scope, which sits in front of the
 enumerator calls and the point values: a hit there is what a pure function
 would recompute, and the memo holds only the results needed at one sweep
@@ -31,7 +38,7 @@ from typing import Callable, NamedTuple
 
 from .errors import UnsupportedOrderError
 from .algebra import UniPoly, cycle_index, half_exponent, to_sym
-from .counting import (CountResult, count_by_formula, even_odd_split,
+from .counting import (count_by_formula, even_odd_split,
                        formal_undirected, formula_kind, has_formula, mixed_sd,
                        order_memo, oriented_alternating_expected, value_at)
 from .numtheory import (has_prime_divisor_3_mod_4, is_prime,
@@ -70,32 +77,30 @@ def _odd_prime_square(n: int):
     return kind[1] if kind and kind[0] == "prime_squared" else None
 
 
-def _count(n: int, klass: str) -> CountResult:
-    """The closed form where one covers the order, else the oracle.
-    count_by_formula decides which, so a hit in its order_memo() asks no
-    formula question."""
-    try:
-        return count_by_formula(n, klass)
-    except UnsupportedOrderError:
-        return oracle.enumerate_circulants(n, klass)
+# z, the point at which a class value is its valency series
+_Z = UniPoly((0, 1))
 
 
-def _class_total(n: int, klass: str, point: complex = 1) -> int:
+def _class_total(n: int, klass: str, point: complex | UniPoly = 1) -> int | UniPoly:
     """C_klass(n) at z = point, the one reader of a class value: 0 for sd, su
     and t at even n (they need valency (n-1)/2), else the closed form's value,
-    else, at z = 1 only, the oracle's count; a refused point raises."""
+    else, at z = 1 only, the oracle's count; a refused point raises.  At a
+    power z^k of z it is the valency series at z^k, the closed form's where
+    one covers the order, else the oracle's."""
     if n % 2 == 0 and klass in ("sd", "su", "t"):
         return 0
+    if isinstance(point, UniPoly):
+        try:
+            count = count_by_formula(n, klass)
+        except UnsupportedOrderError:
+            count = oracle.enumerate_circulants(n, klass)
+        return count.by_valency.stretch(point.degree)
     try:
         return value_at(n, klass, point)
     except UnsupportedOrderError:
         if point != 1:
             raise
         return oracle.enumerate_circulants(n, klass).total
-
-
-def _poly_str(p: UniPoly) -> str:
-    return str(list(p.coeffs))
 
 
 def _ptilde_and_k(p: int) -> tuple[int, int]:
@@ -107,17 +112,11 @@ def _ptilde_and_k(p: int) -> tuple[int, int]:
 # --- checker bodies ---------------------------------------------------------
 # Each returns (lhs_str, rhs_str, holds).
 
-def _check_3_1(p):
-    q = (p + 1) // 2
-    lhs = count_by_formula(p, "u").by_valency
-    rhs = _count(q, "d").by_valency.stretch(2)
-    return _poly_str(lhs), _poly_str(rhs), lhs == rhs
-
-
-def _total(terms) -> int:
+def _total(terms) -> int | UniPoly:
     """The sum over (coeff, factor, ...) terms of coeff times the product of
     its factors, each an (order, klass) or (order, klass, point) read through
-    _class_total; a term with no factors is its coefficient."""
+    _class_total; a term with no factors is its coefficient.  A coefficient
+    is an int or a series, and so is the sum."""
     total = 0
     for coeff, *factors in terms:
         for factor in factors:
@@ -143,14 +142,8 @@ def _check_totals(first, *others):
     return str(lhs), " = ".join(map(str, rhs)), all(r == lhs for r in rhs)
 
 
-def _check_3_3(p):
-    lhs = count_by_formula(p, "o").by_valency.scale(2)
-    rhs = count_by_formula(p + 1, "o").by_valency + UniPoly.constant(1)
-    return _poly_str(lhs), _poly_str(rhs), lhs == rhs
-
-
 def _check_3_8(n):
-    poly = _count(n, "u").by_valency
+    poly = _class_total(n, "u", _Z)
     odd_part = [poly.coeff(2 * r + 1) for r in range(poly.degree // 2 + 1)]
     even_part = [poly.coeff(2 * r) for r in range(poly.degree // 2 + 1)]
     return str(odd_part), str(even_part), odd_part == even_part
@@ -159,51 +152,30 @@ def _check_3_8(n):
 def _check_4_3(p, klass):
     """4.3 (klass u) and its directed twin 4.5 (klass d)."""
     ptilde, k = _ptilde_and_k(p)
-    lhs = count_by_formula(p, klass).by_valency.scale(2)
-    quotient = count_by_formula(p + 1, klass).by_valency.divide_exact_poly(
-        UniPoly.one_plus(1))
-    rhs = quotient + formal_undirected(2 * ptilde + 1).stretch(1 << k)
-    return _poly_str(lhs), _poly_str(rhs), lhs == rhs
+    quotient = _class_total(p + 1, klass, _Z).divide_exact_poly(1 + _Z)
+    return _check_totals([(2, (p, klass, _Z))],
+                         [(quotient,), (formal_undirected(2 * ptilde + 1).stretch(1 << k),)])
 
 
 def _check_4_3p(p):
-    cu_p = count_by_formula(p, "u").by_valency
-    cu_2q = count_by_formula(p + 1, "u").by_valency
+    cu_p = _class_total(p, "u", _Z)
+    cu_2q = _class_total(p + 1, "u", _Z)
     top = max(cu_p.degree, cu_2q.degree)
     lhs = [2 * cu_p.coeff(r) for r in range(2, top + 1, 4)]
     rhs = [cu_2q.coeff(r) for r in range(2, top + 1, 4)]
     return str(lhs), str(rhs), lhs == rhs
 
 
-def _directed_not_undirected(n: int) -> UniPoly:
-    return count_by_formula(n, "d").by_valency - count_by_formula(n, "u").by_valency
-
-
 def _check_4_7(p):
-    lhs = (_directed_not_undirected(p) * UniPoly.one_plus(1)).scale(2)
-    rhs = _directed_not_undirected(p + 1)
-    return _poly_str(lhs), _poly_str(rhs), lhs == rhs
-
-
-def _check_4_7p(p):
-    a = _directed_not_undirected(p)
-    b = _directed_not_undirected(p + 1)
-    top = max(a.degree + 1, b.degree)
-    lhs = [2 * (a.coeff(r) + a.coeff(r - 1)) for r in range(top + 1)]
-    rhs = [b.coeff(r) for r in range(top + 1)]
-    return str(lhs), str(rhs), lhs == rhs
+    """4.7 with c_dnu = c_d - c_u, and 4.7': coefficient r of
+    2 (1+z) c_dnu(p,z) is 2 (C_dnu(p,r) + C_dnu(p,r-1))."""
+    return _check_totals([(2 * (1 + _Z), (p, "d", _Z)), (-2 * (1 + _Z), (p, "u", _Z))],
+                         [(1, (p + 1, "d", _Z)), (-1, (p + 1, "u", _Z))])
 
 
 def _check_5_2(p):
     lhs = tuple(oracle.non_ci_count(p * p, klass)[0] for klass in ("sd", "su", "t"))
     rhs = tuple(_class_total(p, klass) ** 2 for klass in ("sd", "su", "t"))
-    return str(lhs), str(rhs), lhs == rhs
-
-
-def _check_5_4(p):
-    lhs = mixed_sd(p)
-    d = {klass: oracle.non_ci_count(p * p, klass)[0] for klass in ("sd", "su", "t")}
-    rhs = d["sd"] - d["su"] - d["t"]
     return str(lhs), str(rhs), lhs == rhs
 
 
@@ -214,12 +186,6 @@ def _check_split(n, klass, sc):
     s = _class_total(n, sc)
     holds = (2 * even == c + s) and (2 * odd == c - s)
     return f"({even}, {odd})", f"(({c}+{s})/2, ({c}-{s})/2)", holds
-
-
-def _check_6_7(p):
-    even, _ = even_odd_split(p, "u")
-    rhs = _class_total(p, "sd")
-    return str(even), str(rhs), even == rhs
 
 
 # Cycle-index lemmas, checked symbolically at the parameter m.
@@ -314,12 +280,15 @@ class _Identity(NamedTuple):
 
 
 _REGISTRY = [
-    _Identity("3.1", "c_u(p,z) = c_d((p+1)/2, z^2)", _half_successor_prime, _check_3_1),
+    _Identity("3.1", "c_u(p,z) = c_d((p+1)/2, z^2)", _half_successor_prime,
+              lambda p: _check_totals([(1, (p, "u", _Z))],
+                                      [(1, ((p + 1) // 2, "d", _Z * _Z))])),
     _Identity("3.1'", "C_u(p) = C_d((p+1)/2)", _half_successor_prime,
               lambda p: _check_totals([(1, (p, "u"))], [(1, ((p + 1) // 2, "d"))])),
     _Identity("3.2", "C_su(p) = C_sd((p+1)/2)", _half_successor_prime,
               lambda p: _check_totals([(1, (p, "su"))], [(1, ((p + 1) // 2, "sd"))])),
-    _Identity("3.3", "2 c_o(p,z) = c_o(p+1,z) + 1", _nearly_doubled_odd, _check_3_3),
+    _Identity("3.3", "2 c_o(p,z) = c_o(p+1,z) + 1", _nearly_doubled_odd,
+              lambda p: _check_totals([(2, (p, "o", _Z))], [(1, (p + 1, "o", _Z)), (1,)])),
     _Identity("3.3'", "2 C_o(p) = C_o(p+1) + 1", _nearly_doubled_odd,
               lambda p: _check_totals([(2, (p, "o"))], [(1, (p + 1, "o")), (1,)])),
     _Identity("3.4", "C_su(n) = 0 when some prime divisor is 3 mod 4",
@@ -362,14 +331,19 @@ _REGISTRY = [
     _Identity("4.7", "2 (1+z) c_dnu(p,z) = c_dnu(p+1,z)",
               _nearly_doubled_odd, _check_4_7),
     _Identity("4.7'", "2 (C_dnu(p,r) + C_dnu(p,r-1)) = C_dnu(p+1,r)",
-              _nearly_doubled_odd, _check_4_7p),
+              _nearly_doubled_odd, _check_4_7),
     _Identity("5.2", "D_i(p^2) = C_i(p)^2 for i in sd, su, t",
               _app_prime_square, _at_p_squared(_check_5_2), _eval_oracle_square),
     _Identity("5.3", "mixed_sd(p^2) = 2 C_su(p) C_t(p)", _app_prime_square,
               _at_p_squared(lambda p: _check_totals([(mixed_sd(p),)],
                                                     [(2, (p, "su"), (p, "t"))]))),
     _Identity("5.4", "mixed_sd(p^2) = D_sd - D_su - D_t",
-              _app_prime_square, _at_p_squared(_check_5_4), _eval_oracle_square),
+              _app_prime_square,
+              _at_p_squared(lambda p: _check_totals(
+                  [(mixed_sd(p),)],
+                  [(sign * oracle.non_ci_count(p * p, klass)[0],)
+                   for sign, klass in ((1, "sd"), (-1, "su"), (-1, "t"))])),
+              _eval_oracle_square),
     _Identity("5.5", "mixed_sd(p^2) = C_sd(p)^2 - C_su(p)^2 - C_t(p)^2",
               _app_prime_square,
               _at_p_squared(lambda p: _check_totals(
@@ -395,7 +369,8 @@ _REGISTRY = [
               lambda n: has_formula(n, "d"), lambda n: _check_split(n, "d", "sd")),
     _Identity("6.6", "undirected semi-valency split against (C_u +- C_su)/2",
               lambda n: has_formula(n, "su"), lambda n: _check_split(n, "u", "su")),
-    _Identity("6.7", "even-semi-valency undirected count = C_sd(p)", _odd_prime, _check_6_7),
+    _Identity("6.7", "even-semi-valency undirected count = C_sd(p)", _odd_prime,
+              lambda p: _check_totals([(even_odd_split(p, "u")[0],)], [(1, (p, "sd"))])),
     _Identity("L2.1", "cycle-index lemma", _positive, _lemma_2_1),
     _Identity("L2.4", "cycle-index lemma", _positive, _lemma_2_4),
     _Identity("L2.6", "cycle-index lemma", _positive, _lemma_2_6),

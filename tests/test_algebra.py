@@ -29,6 +29,13 @@ def test_unipoly_arithmetic():
     assert (UniPoly() * UniPoly()).is_zero()
     assert one_plus_z.scale(3).coeffs == (3, 3)
     assert UniPoly([1, 2, 3])(10) == 321
+    # an int operand: a constant to add, a factor on the left to scale by
+    assert 0 + one_plus_z == one_plus_z and (0 + UniPoly()).is_zero()
+    assert (one_plus_z + 1).coeffs == (2, 1) and (1 + one_plus_z).coeffs == (2, 1)
+    assert (UniPoly() + 5).coeffs == (5,) and (one_plus_z + -1).coeffs == (0, 1)
+    assert (2 * one_plus_z).coeffs == (2, 2) and (0 * one_plus_z).is_zero()
+    assert str(UniPoly([1, 0, -3])) == "[1, 0, -3]" and str(UniPoly()) == "[]"
+    assert repr(UniPoly([1, 0, -3])) == "UniPoly([1, 0, -3])" and repr(UniPoly()) == "UniPoly([])"
 
 
 def test_unipoly_evaluation_matches_power_sum():

@@ -354,7 +354,11 @@ def test_split_and_alternating_sum_match_filtered_coefficient_sums():
 def test_point_values_equal_the_series():
     # the point substitution against the series, in every class at every
     # formula order below 400: at z = 1 and -1, and at z = i for u at odd
-    # orders (sd, su, t: a constant series, their total)
+    # orders (sd, su, t: a constant series, their total).  Keep this test:
+    # at odd orders value_at(n, "d", -1) and value_at(n, "u", 1j) run exactly
+    # the sd and su substitutions, so identities 6.1, 6.2 and the odd-order
+    # cells of 6.5 and 6.6 compare one computation with itself, and this is
+    # their independent check
     compared = 0
     for n in range(3, 400):
         for klass in CLASSES:

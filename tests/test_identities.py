@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from circenum import counting, identities
+from circenum.algebra import UniPoly
 from circenum.cli import main
 from circenum.errors import UnsupportedOrderError
 from circenum.identities import (IDENTITIES, IDENTITY_KEYS, LEMMA_KEYS, IdentityReport,
@@ -246,6 +247,21 @@ def test_product_and_constant_rows_digest_to_5000():
         "b71b7f477c6b02c987c36242cf86c19678fff2d85716550ee34b20123576328f"
 
 
+def test_series_rows_digest_to_2000():
+    # 3.1, 3.3, 4.3, 4.5, 4.7 and 4.7' compare valency series, 5.4 oracle
+    # counts and 6.7 a parity split: their reports to order 2000 (508),
+    # hashed the same way, as the hand-written checkers gave them before
+    # these became rows
+    reports = verify_range(keys=("3.1", "3.3", "4.3", "4.5", "4.7", "4.7'", "5.4", "6.7"),
+                           order_bound=2000, lemma_bound=0)
+    assert len(reports) == 508
+    assert all(r.status == "holds" for r in reports)
+    text = "\n".join(json.dumps([r.key, r.order, r.status, r.lhs, r.rhs])
+                     for r in reports)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "0f7a1beacc38f01dd6b8100d2c5a34ebd2395812d614a81453c95661e592b47b"
+
+
 @pytest.mark.parametrize("allow_oracle", [False, True])
 def test_oracle_backed_keys_follow_the_coverage_rule(allow_oracle):
     # 3.4 reads C_su and 3.8 reads c_u; each is evaluable exactly where
@@ -374,17 +390,29 @@ def test_a_memo_hit_asks_no_formula_question(monkeypatch, n, klass):
 
     monkeypatch.setattr(counting, "formula_kind", spy)
     with counting.order_memo():
-        first = identities._count(n, klass)
+        first = counting.count_by_formula(n, klass)
         assert asked == [n]
-        assert identities._count(n, klass) is first
+        assert counting.count_by_formula(n, klass) is first
     assert asked == [n]
 
 
-def test_count_falls_back_to_the_oracle_without_a_formula():
-    # 2p has no sd formula, and 15 no formula at all
+def test_count_falls_back_to_the_oracle_without_a_formula(monkeypatch):
+    # 15 has no formula at all, nor 2, where 3.1 at p = 3 reads c_d(2, z^2);
+    # sd at 2p, which has no formula either, is 0 without a survey (below)
+    z = identities._Z
+    surveyed = []
+    real = identities.oracle.enumerate_circulants
+
+    def spy(n, klass):
+        surveyed.append((n, klass))
+        return real(n, klass)
+
+    monkeypatch.setattr(identities.oracle, "enumerate_circulants", spy)
     with counting.order_memo():
-        assert identities._count(14, "sd").provenance == "oracle"
-        assert identities._count(15, "u").provenance == "oracle"
+        assert identities._class_total(15, "u", z) == real(15, "u").by_valency
+        assert identities._class_total(2, "d", z * z) == UniPoly((1, 0, 1))
+        assert identities._class_total(15, "u") == 44
+    assert surveyed == [(15, "u"), (2, "d"), (15, "u")]
 
 
 @pytest.mark.parametrize("n", [2, 14, 22, 38])
@@ -440,8 +468,11 @@ def test_a_raised_t_total_fails_every_identity_that_reads_it(monkeypatch):
     ((7, "u", 1j), 7, {"6.2", "6.4"}),
     ((13, "d", -1), 13, {"6.1", "6.4"}),
     ((13, "o", -1), 13, {"6.3"}),
-], ids=["c_u(7,i)", "c_d(13,-1)", "c_o(13,-1)"])
+    ((13, "u", identities._Z), 13, {"3.1", "4.3", "4.7", "4.7'"}),
+], ids=["c_u(7,i)", "c_d(13,-1)", "c_o(13,-1)", "c_u(13,z)"])
 def test_a_raised_point_value_fails_every_identity_that_reads_it(
         monkeypatch, raised, n, expected):
-    # 6.5-6.7 read their alternating sums through counting.even_odd_split
+    # 6.5-6.7 read their alternating sums through counting.even_odd_split;
+    # at z the raised value is the series plus 1, which 4.3' reads only at
+    # valencies 4r+2
     assert set(_failing_keys_with_one_total_raised(monkeypatch, raised, n)) == expected
